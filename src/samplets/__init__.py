@@ -7,7 +7,6 @@ from .compression import (
     CompressedKernelMatrix,
     add_compressed,
     compress_assemble,
-    compressed_matvec,
     compression_error_report,
     is_admissible,
     load_compressed,
@@ -84,7 +83,6 @@ __all__ = [
     "cluster_dist",
     "coarsen_tree",
     "compress_assemble",
-    "compressed_matvec",
     "compression_error_report",
     "compression_report",
     "default_leaf_size",

@@ -3,15 +3,22 @@
 Cluster pairs separated well enough relative to their sizes are dropped
 entirely; the surviving blocks are assembled recursively, with exact kernel
 evaluation only on leaf-leaf pairs and separable polynomial interpolation on
-the admissible fringe, so the whole matrix costs loglinear work.
+the admissible fringe, so the whole matrix costs loglinear work.  Only pairs
+i <= j are computed; each mirror block is stored as the exact transpose, so
+the assembled operator is exactly symmetric.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
+import scipy.sparse
 
 from .construction import build_samplet_basis
 from .kernels import dense_kernel_matrix, kernel_matrix
@@ -109,7 +116,6 @@ class _InterpolationGrids:
 class PatternPair:
     row: int
     col: int
-    tag: str  # "near" blocks are stored; "far" pairs feed parents via interpolation
 
 
 @dataclass
@@ -120,74 +126,139 @@ class BlockPattern:
     interp_degree: int = 6
 
     def near_pairs(self):
-        return [p for p in self.pairs if p.tag == "near"]
+        """The retained pairs; the pattern holds no other pairs."""
+        return list(self.pairs)
 
-    def far_pairs(self):
-        return [p for p in self.pairs if p.tag == "far"]
+
+def _retained_pairs(tree, eta):
+    """Cluster pairs i <= j failing the separation test, as one (m, 2) array
+    per total level, root pair first.
+
+    Enumerated from (root, root) one total level (level of i plus level of
+    j) at a time: the one-sided child pairs of every retained pair form the
+    next frontier, which is deduplicated and tested as one array.  Refining a
+    pair only shrinks its boxes, so the children of a separated pair are
+    separated too and are never visited.
+    """
+    clusters = tree.clusters
+    lo = np.array([c.bbox_lo for c in clusters])
+    hi = np.array([c.bbox_hi for c in clusters])
+    diam = np.linalg.norm(hi - lo, axis=1)
+    children = np.full((len(clusters), 2), -1)
+    for c in clusters:
+        children[c.index, : len(c.children)] = [ch.index for ch in c.children]
+    kept = []
+    front = np.zeros((1, 2), dtype=int)
+    while len(front):
+        i, j = front.T
+        gap = np.maximum(np.maximum(lo[i] - hi[j], lo[j] - hi[i]), 0.0)
+        dist = np.linalg.norm(gap, axis=1)
+        # negation of is_admissible(a, b, eta) and dist > 0
+        front = front[(dist < eta * np.maximum(diam[i], diam[j])) | (dist == 0.0)]
+        kept.append(front)
+        steps = []
+        for k in (0, 1):
+            steps.append(np.column_stack([children[front[:, 0], k], front[:, 1]]))
+            steps.append(np.column_stack([front[:, 0], children[front[:, 1], k]]))
+        cand = np.sort(np.concatenate(steps), axis=1)
+        front = np.unique(cand[cand[:, 0] >= 0], axis=0)
+    return kept
+
+
+def _slot_ranges(basis):
+    """(clusters, 2) array of each cluster's stored slot range; the ranges
+    tile 0..N in cluster (pre-order) order."""
+    return np.array([basis.stored_slots(c) for c in basis.tree.clusters])
+
+
+def _block_csr(basis, blocks, total):
+    """CSR operator from (i, j, block) triples in ascending (i, j) order.
+
+    The blocks of row cluster i cover ascending, disjoint column ranges, so
+    all rows of i share one column pattern and their entries are the
+    row-major hstack of the blocks, written straight into place.  `total`
+    is the number of stored entries.
+    """
+    slots = _slot_ranges(basis)
+    index = np.int32 if total < 2**31 else np.int64
+    data = np.empty(total)
+    indices = np.empty(total, dtype=index)
+    row_len = np.zeros(basis.n + 1, dtype=index)
+    pos = 0
+    for i, group in itertools.groupby(blocks, key=lambda t: t[0]):
+        group = list(group)
+        r0, r1 = slots[i]
+        lo, hi = slots[[j for _, j, _ in group]].T
+        width = hi - lo
+        # concatenated column ranges lo[k]:hi[k] of the row's blocks
+        cols = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
+        end = pos + (r1 - r0) * cols.size
+        rows = data[pos:end].reshape(r1 - r0, cols.size)
+        np.concatenate([b for _, _, b in group], axis=1, out=rows)
+        indices[pos:end].reshape(rows.shape)[...] = cols
+        row_len[r0 + 1 : r1 + 1] = cols.size
+        pos = end
+    if pos != total:
+        raise ValueError(f"{pos} stored entries, expected {total}")
+    indptr = np.cumsum(row_len, dtype=index)
+    return scipy.sparse.csr_array((data, indices, indptr), shape=(basis.n, basis.n))
 
 
 class CompressedKernelMatrix:
     """Samplet-coordinate kernel matrix restricted to the retained pattern.
 
-    `blocks[(i, j)]` holds the samplet rows/columns of cluster pair (i, j)
-    (the root block also covers the coarse scaling slots).  Symmetric kernels
-    give a symmetric pattern with transposed mirror blocks.
+    `csr` holds every stored entry, explicit zeros included: block (i, j)
+    covers the stored slots of cluster pairs (i, j) (the root block also
+    covers the coarse scaling slots), and `blocks` views it per pair.
+    Symmetric kernels give a symmetric pattern with transposed mirror blocks.
     """
 
-    def __init__(self, basis, pattern, blocks):
+    def __init__(self, basis, pattern, csr):
         self.basis = basis
         self.pattern = pattern
-        self.blocks = blocks
+        self.csr = csr
         self.n = basis.n
-        self._plan = None
+
+    @cached_property
+    def blocks(self):
+        """Read-only (i, j) -> block mapping in ascending key order.  Each
+        block is a view into the CSR data, so writing to it changes the
+        operator."""
+        slots = _slot_ranges(self.basis)
+        widths = (slots[:, 1] - slots[:, 0]).tolist()
+        owner = np.repeat(np.arange(len(slots)), widths)
+        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        views = {}
+        for i, (r0, r1) in enumerate(slots):
+            if r0 < r1:
+                p0, p1 = indptr[r0], indptr[r0 + 1]
+                rows = data[p0 : p0 + (r1 - r0) * (p1 - p0)].reshape(r1 - r0, -1)
+                col_owner = owner[indices[p0:p1]]
+                for s in np.flatnonzero(np.diff(col_owner, prepend=-1)).tolist():
+                    j = int(col_owner[s])
+                    views[(i, j)] = rows[:, s : s + widths[j]]
+        return MappingProxyType(views)
 
     @property
     def nnz(self):
-        return int(sum(np.count_nonzero(b) for b in self.blocks.values()))
-
-    def _apply_plan(self):
-        # blocks grouped by shape for batched gather / matmul / scatter-add
-        if self._plan is None:
-            clusters = self.basis.tree.clusters
-            groups = {}
-            for (i, j), block in self.blocks.items():
-                r0, _ = self.basis.stored_slots(clusters[i])
-                c0, _ = self.basis.stored_slots(clusters[j])
-                groups.setdefault(block.shape, []).append((r0, c0, block))
-            plan = []
-            for (nr, nc), items in groups.items():
-                stack = np.stack([b for _, _, b in items])
-                rows = np.array([r0 for r0, _, _ in items])[:, None] + np.arange(nr)
-                cols = np.array([c0 for _, c0, _ in items])[:, None] + np.arange(nc)
-                plan.append((stack, rows, cols))
-            self._plan = plan
-        return self._plan
+        return int(np.count_nonzero(self.csr.data))
 
     def matvec(self, v):
         wrap = isinstance(v, CoefficientVector)
+        if wrap and v.basis is not self.basis:
+            raise ValueError("basis mismatch: coefficients belong to another basis")
         arr = v.slots if wrap else np.asarray(v, dtype=float)
         if arr.shape != (self.n,):
             raise ValueError(f"dim mismatch: expected ({self.n},), got {arr.shape}")
-        out = np.zeros_like(arr)
-        for stack, rows, cols in self._apply_plan():
-            prod = stack @ arr[cols][:, :, None]
-            np.add.at(out, rows, prod[:, :, 0])
-        if wrap:
-            return CoefficientVector(out, v.basis)
-        return out
+        out = self.csr @ arr
+        return CoefficientVector(out, self.basis) if wrap else out
 
     __matmul__ = matvec
 
     def to_dense(self, guard: int = 8192) -> np.ndarray:
         if self.n > guard:
             raise ValueError(f"dense guard exceeded: {self.n} > {guard}")
-        out = np.zeros((self.n, self.n))
-        clusters = self.basis.tree.clusters
-        for (i, j), block in self.blocks.items():
-            r0, r1 = self.basis.stored_slots(clusters[i])
-            c0, c1 = self.basis.stored_slots(clusters[j])
-            out[r0:r1, c0:c1] = block
-        return out
+        return self.csr.toarray()
 
     @property
     def shape(self):
@@ -200,90 +271,72 @@ def compress_assemble(
     """Assemble the compressed kernel matrix.
 
     Retained pairs are all cluster pairs failing the separation test; they
-    are enumerated from (root, root) by single-sided descents, which covers
-    pairs of clusters on different levels.  Each retained block is computed
-    by a memoized one-sided refinement: pairs on the admissible fringe are
-    evaluated by separable Chebyshev interpolation, non-admissible leaf-leaf
-    pairs exactly, and everything beyond the fringe is never materialized.
+    are enumerated level by level from (root, root) by single-sided descents,
+    which covers pairs of clusters on different levels.  Blocks are computed
+    deepest level first by one-sided refinement from the blocks one level
+    deeper: pairs on the admissible fringe are evaluated by separable
+    Chebyshev interpolation, non-admissible leaf-leaf pairs exactly, and
+    everything beyond the fringe is never materialized.
     """
+    if eta <= 0:
+        raise ValueError("eta must be positive")
     tree = basis.tree
+    levels = _retained_pairs(tree, eta)
     grids = _InterpolationGrids(basis, interp_degree)
-    pattern = BlockPattern(
-        eta=eta, moment_degree=basis.moment_degree, interp_degree=interp_degree
-    )
-    blocks = {}
-    root = tree.root
-    memo = {}
-    far_seen = set()
     q_full = [np.hstack([t.q_phi, t.q_sigma]) for t in basis.transforms]
+    n_scaling = [t.n_scaling for t in basis.transforms]
+    keep = n_scaling.copy()
+    keep[tree.root.index] = 0
+    upper, deeper = {}, {}
 
-    def far_pair(a, b):
-        return is_admissible(a, b, eta) and cluster_dist(a, b) > 0.0
+    def child(i, j):
+        # full block of a pair one level deeper than the current one: every
+        # retained pair there is in `deeper`, so a missing pair lies on the
+        # admissible fringe; only i <= j is computed, (j, i) is its transpose
+        key = (min(i, j), max(i, j))
+        block = deeper.get(key)
+        if block is None:
+            S = kernel_matrix(spec, grids.grids[key[0]], grids.grids[key[1]])
+            block = grids.factor[key[0]].T @ S @ grids.factor[key[1]]
+            deeper[key] = block
+        return block if i <= j else block.T
 
-    # enumerate the retained (non-admissible) pairs
-    near = []
-    seen = set()
-    stack = [(root, root)]
-    while stack:
-        a, b = stack.pop()
-        key = (a.index, b.index)
-        if key in seen:
-            continue
-        seen.add(key)
-        if far_pair(a, b):
-            continue
-        near.append((a, b))
-        for c in a.children:
-            stack.append((c, b))
-        for c in b.children:
-            stack.append((a, c))
-
-    def compute(a, b):
-        key = (a.index, b.index)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if far_pair(a, b):
-            if key not in far_seen:
-                far_seen.add(key)
-                pattern.pairs.append(PatternPair(a.index, b.index, "far"))
-            S = kernel_matrix(spec, grids.grids[a.index], grids.grids[b.index])
-            block = grids.factor[a.index].T @ S @ grids.factor[b.index]
-        elif a.is_leaf and b.is_leaf:
-            K = kernel_matrix(spec, tree.cluster_points(a), tree.cluster_points(b))
-            block = q_full[a.index].T @ K @ q_full[b.index]
-        elif not a.is_leaf and (a.level <= b.level or b.is_leaf):
-            rows = [
-                compute(c, b)[: basis.transforms[c.index].n_scaling, :]
-                for c in a.children
-            ]
-            block = q_full[a.index].T @ np.vstack(rows)
-        else:
-            cols = [
-                compute(a, c)[:, : basis.transforms[c.index].n_scaling]
-                for c in b.children
-            ]
-            block = np.hstack(cols) @ q_full[b.index]
-        memo[key] = block
-        return block
-
-    for a, b in near:
-        pattern.pairs.append(PatternPair(a.index, b.index, "near"))
-        full_block = compute(a, b)
-        keep_r = 0 if a is root else basis.transforms[a.index].n_scaling
-        keep_c = 0 if b is root else basis.transforms[b.index].n_scaling
-        stored = full_block[keep_r:, keep_c:]
-        if stored.size:
-            stored = stored.copy()
-            cut = ENTRY_DROP * np.abs(stored).max()
-            stored[np.abs(stored) < cut] = 0.0
-            blocks[(a.index, b.index)] = stored
-    return CompressedKernelMatrix(basis, pattern, blocks)
-
-
-def compressed_matvec(m: CompressedKernelMatrix, v):
-    """Product of the compressed matrix with a coefficient vector."""
-    return m.matvec(v)
+    # deepest level first, so each level needs only the blocks of the next
+    for front in reversed(levels):
+        current = {}
+        for i, j in front.tolist():
+            a, b = tree.clusters[i], tree.clusters[j]
+            if a.is_leaf and b.is_leaf:
+                pa, pb = tree.cluster_points(a), tree.cluster_points(b)
+                block = q_full[i].T @ kernel_matrix(spec, pa, pb) @ q_full[j]
+            elif not a.is_leaf and (a.level <= b.level or b.is_leaf):
+                rows = [child(c.index, j)[: n_scaling[c.index]] for c in a.children]
+                block = q_full[i].T @ np.vstack(rows)
+            else:
+                cols = [child(i, c.index)[:, : n_scaling[c.index]] for c in b.children]
+                block = np.hstack(cols) @ q_full[j]
+            if i == j:
+                block = 0.5 * (block + block.T)
+            current[(i, j)] = block
+            stored = block[keep[i] :, keep[j] :]
+            if stored.size:
+                stored = stored.copy()
+                mag = np.abs(stored)
+                stored[mag < ENTRY_DROP * mag.max()] = 0.0
+                upper[(i, j)] = stored
+        deeper = current
+    keys = sorted([*upper, *((j, i) for i, j in upper if i != j)])
+    blocks = [(i, j, upper[(i, j)] if i <= j else upper[(j, i)].T) for i, j in keys]
+    retained = {(i, j) for front in levels for i, j in front.tolist()}
+    both = sorted(retained | {(j, i) for i, j in retained})
+    pattern = BlockPattern(
+        pairs=[PatternPair(i, j) for i, j in both],
+        eta=eta,
+        moment_degree=basis.moment_degree,
+        interp_degree=interp_degree,
+    )
+    csr = _block_csr(basis, blocks, sum(block.size for _, _, block in blocks))
+    return CompressedKernelMatrix(basis, pattern, csr)
 
 
 def add_compressed(
@@ -292,24 +345,17 @@ def add_compressed(
     """Blockwise sum on the union pattern; both operands must share a basis."""
     if a.basis is not b.basis:
         raise ValueError("basis mismatch: operands built over different bases")
-    blocks = {k: v.copy() for k, v in a.blocks.items()}
-    for key, block in b.blocks.items():
-        if key in blocks:
-            blocks[key] = blocks[key] + block
-        else:
-            blocks[key] = block.copy()
-    seen = {}
-    for p in a.pattern.pairs + b.pattern.pairs:
-        key = (p.row, p.col)
-        if key not in seen or (seen[key].tag == "far" and p.tag == "near"):
-            seen[key] = p
+    keys = sorted({*a.blocks, *b.blocks})
+    blocks = [(*k, a.blocks.get(k, 0) + b.blocks.get(k, 0)) for k in keys]
+    csr = _block_csr(a.basis, blocks, sum(block.size for _, _, block in blocks))
+    pairs = sorted({(p.row, p.col) for p in a.pattern.pairs + b.pattern.pairs})
     pattern = BlockPattern(
-        pairs=list(seen.values()),
+        pairs=[PatternPair(i, j) for i, j in pairs],
         eta=max(a.pattern.eta, b.pattern.eta),
         moment_degree=a.pattern.moment_degree,
         interp_degree=max(a.pattern.interp_degree, b.pattern.interp_degree),
     )
-    return CompressedKernelMatrix(a.basis, pattern, blocks)
+    return CompressedKernelMatrix(a.basis, pattern, csr)
 
 
 @dataclass
@@ -343,6 +389,8 @@ def compression_error_report(
 
 
 _MAGIC = b"SMPB"
+_PREAMBLE = 36  # magic plus the "<IQIdQ" header
+_BLOCK_HEADER = 32
 
 
 def save_compressed(m: CompressedKernelMatrix, path):
@@ -359,7 +407,7 @@ def save_compressed(m: CompressedKernelMatrix, path):
                 len(m.blocks),
             )
         )
-        for (i, j), block in sorted(m.blocks.items()):
+        for (i, j), block in m.blocks.items():
             fh.write(struct.pack("<QQQQ", i, j, block.shape[0], block.shape[1]))
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
@@ -378,12 +426,31 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 f"container (N={n}, degree={degree}) does not match basis "
                 f"(N={basis.n}, degree={basis.moment_degree})"
             )
-        blocks = {}
-        pairs = []
-        for _ in range(n_blocks):
-            i, j, nr, nc = struct.unpack("<QQQQ", fh.read(32))
-            data = np.frombuffer(fh.read(8 * nr * nc), dtype="<f8").reshape(nr, nc)
-            blocks[(i, j)] = data.astype(float)
-            pairs.append(PatternPair(i, j, "near"))
-    pattern = BlockPattern(pairs=pairs, eta=eta, moment_degree=degree)
-    return CompressedKernelMatrix(basis, pattern, blocks)
+        payload = os.fstat(fh.fileno()).st_size - _PREAMBLE - _BLOCK_HEADER * n_blocks
+        if payload < 0 or payload % 8:
+            raise ValueError("truncated compressed-matrix file")
+        slots = _slot_ranges(basis)
+        widths = slots[:, 1] - slots[:, 0]
+        keys = []
+
+        def read_blocks():
+            for _ in range(n_blocks):
+                i, j, nr, nc = struct.unpack("<QQQQ", fh.read(_BLOCK_HEADER))
+                if keys and (i, j) <= keys[-1]:
+                    raise ValueError(f"block ({i}, {j}) out of ascending order")
+                if max(i, j) >= len(slots) or (nr, nc) != (widths[i], widths[j]):
+                    raise ValueError(
+                        f"block ({i}, {j}) of shape ({nr}, {nc}) does not match "
+                        "the basis"
+                    )
+                keys.append((i, j))
+                raw = fh.read(8 * nr * nc)
+                if len(raw) != 8 * nr * nc:
+                    raise ValueError("truncated compressed-matrix file")
+                yield i, j, np.frombuffer(raw, dtype="<f8").reshape(nr, nc)
+
+        csr = _block_csr(basis, read_blocks(), payload // 8)
+    pattern = BlockPattern(
+        pairs=[PatternPair(i, j) for i, j in keys], eta=eta, moment_degree=degree
+    )
+    return CompressedKernelMatrix(basis, pattern, csr)

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,9 @@ from samplets import (
     add_compressed,
     build_basis,
     compress_assemble,
-    compressed_matvec,
     compression_error_report,
     dense_kernel_matrix,
+    forward_transform,
     is_admissible,
     load_compressed,
     save_compressed,
@@ -47,11 +50,11 @@ def test_huge_eta_reproduces_dense_matrix(setup256):
     cloud, spec, basis, dense = setup256
     comp = compress_assemble(basis, spec, eta=1e9, interp_degree=3)
     assert np.abs(comp.to_dense() - dense).max() < 1e-10
-    assert all(p.tag == "near" for p in comp.pattern.pairs)
+    assert len(comp.pattern.pairs) == len(basis.tree.clusters) ** 2
     rng = np.random.default_rng(41)
     v = rng.standard_normal(256)
     assert np.abs(comp.matvec(v) - dense @ v).max() < 1e-10
-    zero = compressed_matvec(comp, np.zeros(256))
+    zero = comp.matvec(np.zeros(256))
     assert np.all(zero == 0)
 
 
@@ -70,6 +73,42 @@ def test_block_symmetry(setup256):
         mirror = comp.blocks.get((j, i))
         assert mirror is not None
         np.testing.assert_allclose(block, mirror.T, atol=1e-12)
+
+
+def test_operator_exactly_symmetric(setup256):
+    cloud, spec, basis, dense = setup256
+    rng = np.random.default_rng(45)
+    basis3 = build_basis(rng.random((400, 3)), 2)
+    for b in (basis, basis3):
+        A = compress_assemble(b, spec, eta=1.25, interp_degree=4).to_dense()
+        assert np.array_equal(A, A.T)
+
+
+def test_matvec_rejects_other_basis(setup256):
+    cloud, spec, basis, dense = setup256
+    comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
+    own = forward_transform(basis, cloud.points[:, 0])
+    assert comp.matvec(own).basis is basis
+    other = forward_transform(build_basis(cloud, 1), cloud.points[:, 0])
+    with pytest.raises(ValueError, match="basis mismatch"):
+        comp.matvec(other)
+
+
+def test_assembly_memory_released_on_return(setup256):
+    # without the cycle collector, only reference counting frees memory
+    cloud, spec, basis, dense = setup256
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        comp = compress_assemble(basis, spec, eta=1.25, interp_degree=6)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    csr = comp.csr
+    assert held <= 2 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
 
 
 def test_matvec_within_certified_error(setup256):
@@ -112,15 +151,21 @@ def test_pattern_transitivity(setup256):
                     stack.append(nxt)
         return out
 
-    near = {(p.row, p.col) for p in comp.pattern.near_pairs()}
-    for p in comp.pattern.pairs:
-        for a, b in ancestors(p.row, p.col):
+    retained = {(p.row, p.col) for p in comp.pattern.pairs}
+    fringe = 0
+    for i, j in retained:
+        assert not admissible_pair(i, j)
+        for a, b in ancestors(i, j):
             assert not admissible_pair(a, b)
-        if p.tag == "near":
-            assert not admissible_pair(p.row, p.col)
-        else:
-            assert admissible_pair(p.row, p.col)
-            assert (p.row, p.col) not in near
+        # one-sided child pairs that are not retained form the admissible fringe
+        steps = [(c.index, j) for c in clusters[i].children]
+        steps += [(i, c.index) for c in clusters[j].children]
+        for a, b in steps:
+            if (a, b) not in retained:
+                assert admissible_pair(a, b)
+                assert cluster_dist(clusters[a], clusters[b]) > 0
+                fringe += 1
+    assert fringe > 0
 
 
 def test_near_field_leaf_blocks_exact(setup256):
@@ -254,3 +299,13 @@ def test_serialization_round_trip(tmp_path, setup256):
     other = build_basis(cloud, 1)
     with pytest.raises(ValueError, match="does not match"):
         load_compressed(path, other)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.smpb"
+    bad.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match="truncated"):
+        load_compressed(bad, basis)
+    # the first block header's column count, one too many
+    cols = int.from_bytes(raw[60:68], "little") + 1
+    bad.write_bytes(raw[:60] + cols.to_bytes(8, "little") + raw[68:])
+    with pytest.raises(ValueError, match="does not match the basis"):
+        load_compressed(bad, basis)
