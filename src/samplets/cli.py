@@ -70,7 +70,6 @@ class RunSpec:
     step: float | None = None
     n: int = 0
     seed: int = 0
-    threads: int = 1
     rescale: bool = False
     tol: float = 1e-8
     max_iter: int = 5000
@@ -87,8 +86,6 @@ class RunSpec:
             raise InputError("epsilon must lie in (0, 1)")
         if self.ridge < 0:
             raise InputError("ridge must be nonnegative")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
         if any(t < 0 for t in self.thresholds):
             raise InputError("thresholds must be nonnegative")
 
@@ -342,7 +339,6 @@ def _parser():
         sp.add_argument("--leaf-size", type=int, default=None)
         sp.add_argument("--rescale-unit-box", dest="rescale", action="store_true",
                         help="map sites into [0,1]^d and record the affine map")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("transform", help="samplet analysis / synthesis of values")

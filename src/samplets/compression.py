@@ -90,8 +90,7 @@ class _InterpolationGrids:
             mesh = np.meshgrid(*axes, indexing="ij")
             self.grids[cluster.index] = np.stack([m.ravel() for m in mesh], axis=1)
 
-            t = basis.transforms[cluster.index]
-            q_full = np.hstack([t.q_phi, t.q_sigma])
+            q = basis.transforms[cluster.index].q
             if cluster.is_leaf:
                 pts = tree.cluster_points(cluster)
                 ev = np.ones((cluster.size, 1))
@@ -99,7 +98,7 @@ class _InterpolationGrids:
                     loc = (pts[:, a] - mid[a]) / half[a]
                     ax_ev = _barycentric_eval(cheb, bary, loc)
                     ev = (ev[:, :, None] * ax_ev[:, None, :]).reshape(cluster.size, -1)
-                self.factor[cluster.index] = ev.T @ q_full
+                self.factor[cluster.index] = ev.T @ q
             else:
                 carriers = []
                 for child in cluster.children:
@@ -109,7 +108,7 @@ class _InterpolationGrids:
                         E = np.kron(E, _barycentric_eval(cheb, bary, child_loc))
                     n_sc = basis.transforms[child.index].n_scaling
                     carriers.append(E.T @ self.factor[child.index][:, :n_sc])
-                self.factor[cluster.index] = np.hstack(carriers) @ q_full
+                self.factor[cluster.index] = np.hstack(carriers) @ q
 
 
 @dataclass
@@ -283,7 +282,7 @@ def compress_assemble(
     tree = basis.tree
     levels = _retained_pairs(tree, eta)
     grids = _InterpolationGrids(basis, interp_degree)
-    q_full = [np.hstack([t.q_phi, t.q_sigma]) for t in basis.transforms]
+    q = [t.q for t in basis.transforms]
     n_scaling = [t.n_scaling for t in basis.transforms]
     keep = n_scaling.copy()
     keep[tree.root.index] = 0
@@ -308,13 +307,13 @@ def compress_assemble(
             a, b = tree.clusters[i], tree.clusters[j]
             if a.is_leaf and b.is_leaf:
                 pa, pb = tree.cluster_points(a), tree.cluster_points(b)
-                block = q_full[i].T @ kernel_matrix(spec, pa, pb) @ q_full[j]
+                block = q[i].T @ kernel_matrix(spec, pa, pb) @ q[j]
             elif not a.is_leaf and (a.level <= b.level or b.is_leaf):
                 rows = [child(c.index, j)[: n_scaling[c.index]] for c in a.children]
-                block = q_full[i].T @ np.vstack(rows)
+                block = q[i].T @ np.vstack(rows)
             else:
                 cols = [child(i, c.index)[:, : n_scaling[c.index]] for c in b.children]
-                block = np.hstack(cols) @ q_full[j]
+                block = np.hstack(cols) @ q[j]
             if i == j:
                 block = 0.5 * (block + block.T)
             current[(i, j)] = block

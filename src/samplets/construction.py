@@ -4,6 +4,8 @@ Every cluster of the tree receives an orthogonal two-scale transform obtained
 from a QR factorization of its moment matrix.  The first block of columns
 spans the scaling distributions handed to the parent, the remaining columns
 are samplets annihilating all polynomials up to the requested total degree.
+Clusters of one level with equal block sizes are factorized together, so
+the construction costs a few numpy calls per tree level.
 """
 
 from __future__ import annotations
@@ -53,124 +55,173 @@ def moment_shift_matrix(exponents, scale_ratio, offset):
     If y are coordinates in the source frame and x = scale_ratio * y + offset
     in the target frame, returns S with x^alpha = sum_beta S[alpha, beta] y^beta,
     so target-frame moment matrices are S @ source-frame moment matrices.
+    By the binomial theorem S[alpha, beta] = r^|beta| prod_k C(alpha_k, beta_k)
+    o_k^(alpha_k - beta_k) for beta <= alpha, and 0 otherwise.  A stack of c
+    frames (scale_ratio of shape (c,), offset (c, dim)) gives a (c, m, m) stack.
+    Powers are scalar `**` tables and the axis factors multiply in axis
+    order, so every entry is rounded exactly as in the term-by-term expansion.
     """
-    m = exponents.shape[0]
+    exponents = np.asarray(exponents)
     dim = exponents.shape[1]
+    ratios = np.asarray(scale_ratio, dtype=float)
+    offsets = np.asarray(offset, dtype=float).reshape(-1, dim)
+    top = int(exponents.max(initial=0))
     total = exponents.sum(axis=1)
-    pos = {tuple(e): i for i, e in enumerate(exponents)}
-    S = np.zeros((m, m))
-    for i, alpha in enumerate(exponents):
-        for j, beta in enumerate(exponents):
-            if total[j] > total[i] or np.any(beta > alpha):
-                continue
-            coeff = scale_ratio ** int(total[j])
-            for k in range(dim):
-                coeff *= comb(int(alpha[k]), int(beta[k])) * offset[k] ** int(
-                    alpha[k] - beta[k]
-                )
-            S[i, pos[tuple(beta)]] = coeff
-    return S
+    diff = exponents[:, None, :] - exponents[None, :, :]
+    below = (diff >= 0).all(axis=2)
+    diff = np.where(below[:, :, None], diff, 0)
+    pascal = np.array([[comb(a, b) for b in range(top + 1)] for a in range(top + 1)])
+    binom = pascal[exponents[:, None, :], exponents[None, :, :]].astype(float)
+    powers = range(int(total.max(initial=0)) + 1)
+    r_pow = np.array([[r**e for e in powers] for r in ratios.reshape(-1).tolist()])
+    o_pow = np.array(
+        [[[o**e for e in range(top + 1)] for o in row] for row in offsets.tolist()]
+    )
+    S = r_pow[:, None, total]
+    for k in range(dim):
+        S = S * (binom[:, :, k] * o_pow[:, k, diff[:, :, k]])
+    S = np.where(below, S, 0.0)
+    return S.reshape(ratios.shape + below.shape)
 
 
 class ClusterTransform:
     """Orthogonal two-scale transform of one cluster.
 
-    `q_phi` (n x n_scaling) generates the scaling distributions, `q_sigma`
-    (n x n_samplets) the samplets, both as combinations of the n incoming
-    distributions (Diracs at a leaf, children's scaling distributions
-    otherwise).  `scaling_moments` is the cluster-local moment matrix of the
-    scaling block, consumed by the parent.
+    `q` (n_in x n_in) combines the n_in incoming distributions (Diracs at a
+    leaf, children's scaling distributions otherwise): its first `n_scaling`
+    columns generate the scaling distributions, the rest the samplets.  `q`
+    is a view into the stack of the cluster's level group.
     """
 
-    __slots__ = ("q_phi", "q_sigma", "scaling_moments", "center", "scale")
+    __slots__ = ("q", "n_scaling")
 
-    def __init__(self, q_phi, q_sigma, scaling_moments, center, scale):
-        self.q_phi = q_phi
-        self.q_sigma = q_sigma
-        self.scaling_moments = scaling_moments
-        self.center = center
-        self.scale = scale
+    def __init__(self, q, n_scaling):
+        self.q = q
+        self.n_scaling = n_scaling
+
+    @property
+    def q_phi(self):
+        return self.q[:, : self.n_scaling]
+
+    @property
+    def q_sigma(self):
+        return self.q[:, self.n_scaling :]
 
     @property
     def n_in(self):
-        return self.q_phi.shape[0]
-
-    @property
-    def n_scaling(self):
-        return self.q_phi.shape[1]
+        return self.q.shape[0]
 
     @property
     def n_samplets(self):
-        return self.q_sigma.shape[1]
+        return self.q.shape[0] - self.n_scaling
 
 
-def _local_frame(cluster):
-    center = 0.5 * (cluster.bbox_lo + cluster.bbox_hi)
-    scale = 0.5 * cluster_diam(cluster)
-    if scale <= 0.0:
-        scale = 1.0
-    return center, scale
+class LevelGroup:
+    """Clusters of one tree level, all leaves or all interior, with equal
+    n_in (hence equal n_scaling).
+
+    `index` lists their pre-order ids and `q` stacks their transforms
+    (clusters x n_in x n_in).  Row `gather[c, i]` holds the i-th incoming
+    distribution of the c-th cluster: a point index (original order) in a
+    leaf group, a row of the sweep buffer of the SampletBasis otherwise.
+    Buffer row `scatter[c, j]` receives its j-th generated distribution
+    (scaling distributions first, then samplets).
+
+    For thin moment matrices (n_in >= 4k, k = min(n_in, m) Householder
+    reflectors) the sweeps apply Q in WY form instead, Q = (I - W Y^T)
+    diag(sign) with W, Y of shape n_in x k: that reads 2 k n_in numbers per
+    cluster instead of n_in^2.
+    """
+
+    __slots__ = ("level", "leaf", "index", "n_scaling", "gather", "scatter", "q", "wy")
+
+    def __init__(self, level, leaf, index, n_scaling, gather, scatter):
+        self.level = level
+        self.leaf = leaf
+        self.index = index
+        self.n_scaling = n_scaling
+        self.gather = gather
+        self.scatter = scatter
+        self.q = None
+        self.wy = None
+
+    def factorize(self, moments):
+        """Deterministic QR of the stacked transposed moment matrices
+        (clusters x n_in x m): sets the transforms and returns R."""
+        Q, R = np.linalg.qr(moments, mode="complete")
+        sign = _fix_signs(Q, R)
+        self.q = Q
+        n, k = moments.shape[1], min(moments.shape[1:])
+        if 4 * k <= n:
+            self.wy = (*_wy_factors(moments, k), sign[..., None])
+        return R
+
+    def analyze(self, x):
+        """Q^T x for a stack x of incoming values (clusters x n_in x cols)."""
+        if self.wy is None:
+            return np.matmul(self.q.transpose(0, 2, 1), x)
+        w, y, sign = self.wy
+        return sign * (x - y @ (w.transpose(0, 2, 1) @ x))
+
+    def synthesize(self, x):
+        """Q x for a stack x of generated values (clusters x n_in x cols)."""
+        if self.wy is None:
+            return np.matmul(self.q, x)
+        w, y, sign = self.wy
+        z = sign * x
+        return z - w @ (y.transpose(0, 2, 1) @ z)
+
+
+def _wy_factors(moments, k):
+    """W = V T and Y = V with H_1 ... H_k = I - W Y^T for LAPACK's
+    Householder QR of the stack: V holds the unit lower trapezoidal
+    reflectors, T is the upper triangular factor built column by column."""
+    h, tau = np.linalg.qr(moments, mode="raw")
+    v = np.tril(np.swapaxes(h, -1, -2)[..., :k], -1)
+    v[:, np.arange(k), np.arange(k)] = 1.0
+    t = np.zeros(tau.shape + (k,))
+    for j in range(k):
+        t[:, j, j] = tau[:, j]
+        vv = np.einsum("cnj,cn->cj", v[:, :, :j], v[:, :, j])
+        t[:, :j, j] = -tau[:, j, None] * np.einsum("cij,cj->ci", t[:, :j, :j], vv)
+    return v @ t, v
+
+
+def local_frames(tree):
+    """Center and half-diagonal scale (1 for a degenerate box) per cluster."""
+    lo = np.array([c.bbox_lo for c in tree.clusters])
+    hi = np.array([c.bbox_hi for c in tree.clusters])
+    scales = 0.5 * np.array([cluster_diam(c) for c in tree.clusters])
+    return 0.5 * (lo + hi), np.where(scales > 0.0, scales, 1.0)
+
+
+def dirac_moments(points, exponents, center, scale):
+    """Moments of point Diracs in a local frame: monomials of (points -
+    center) / scale, shape (..., n, m) for points of shape (..., n, dim)."""
+    local = (points - center) / scale
+    values = monomial_values(local.reshape(-1, local.shape[-1]), exponents)
+    return values.T.reshape(local.shape[:-1] + (len(exponents),))
 
 
 def _fix_signs(Q, R):
-    """Make the factorization deterministic: nonnegative diagonal of R, and
-    null-space columns oriented so their first significant entry is positive."""
-    n, m = R.shape
-    k = min(n, m)
-    for j in range(k):
-        if R[j, j] < 0.0:
-            Q[:, j] = -Q[:, j]
-            R[j, :] = -R[j, :]
-    for j in range(k, n):
-        col = Q[:, j]
-        big = np.abs(col) > 1e-12 * np.abs(col).max()
-        lead = int(np.argmax(big))
-        if col[lead] < 0.0:
-            Q[:, j] = -col
-    return Q, R
-
-
-def moment_matrix(tree, cluster, transforms, exponents):
-    """Cluster-local moment matrix of the incoming distributions.
-
-    Leaves evaluate the monomials at their sites; interior clusters re-expand
-    the children's scaling-moment blocks into the parent frame, so no point
-    data is revisited above the leaf level.
-    """
-    center, scale = _local_frame(cluster)
-    if cluster.is_leaf:
-        local = (tree.cluster_points(cluster) - center) / scale
-        return monomial_values(local, exponents), center, scale
-    blocks = []
-    for child in cluster.children:
-        t = transforms[child.index]
-        shift = moment_shift_matrix(
-            exponents, t.scale / scale, (t.center - center) / scale
-        )
-        blocks.append(shift @ t.scaling_moments)
-    return np.hstack(blocks), center, scale
-
-
-def cluster_transform(moments, center, scale, n_scaling_cap):
-    """Orthogonal transform from the QR factorization of the moment matrix.
-
-    The k-th generated distribution has at least k-1 vanishing moments; the
-    first `min(n_scaling_cap, n)` columns become scaling distributions, the
-    rest samplets.  Rank-deficient moment matrices are fine and only produce
-    samplets with extra vanishing moments.
-    """
-    Q, R = np.linalg.qr(moments.T, mode="complete")
-    Q, R = _fix_signs(Q, R)
-    n = Q.shape[0]
-    n_scaling = min(n_scaling_cap, n)
-    scaling_moments = R.T[:, :n_scaling]
-    return ClusterTransform(
-        np.ascontiguousarray(Q[:, :n_scaling]),
-        np.ascontiguousarray(Q[:, n_scaling:]),
-        scaling_moments,
-        center,
-        scale,
+    """Make a stack of factorizations deterministic, in place: nonnegative
+    diagonal of R, and null-space columns oriented so their first significant
+    entry is positive.  Returns the column signs applied to Q."""
+    k = min(R.shape[-2:])
+    null = Q[..., k:]
+    mag = np.abs(null)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=-2, keepdims=True), axis=-2)
+    flip = np.concatenate(
+        [
+            np.diagonal(R, axis1=-2, axis2=-1) < 0.0,
+            np.take_along_axis(null, lead[..., None, :], axis=-2)[..., 0, :] < 0.0,
+        ],
+        axis=-1,
     )
+    sign = np.where(flip, -1.0, 1.0)
+    Q *= sign[..., None, :]
+    R[..., :k, :] *= sign[..., :k, None]
+    return sign
 
 
 class SampletBasis:
@@ -180,14 +231,24 @@ class SampletBasis:
     Slot order: the root's scaling distributions first, then each cluster's
     samplets with clusters in pre-order, samplets in QR column order.  The
     root's slots are therefore the contiguous leading block.
+
+    `groups` batches the transforms by level, deepest first, over a sweep
+    buffer of `sweep_rows` rows: the scaling distributions of every non-root
+    cluster (siblings adjacent, level by level), then the coefficient slots
+    from row `slot_row` on.
     """
 
-    def __init__(self, tree, moment_degree, carry_degree, transforms, offsets):
+    def __init__(
+        self, tree, moment_degree, carry_degree, transforms, offsets, groups, slot_row
+    ):
         self.tree = tree
         self.moment_degree = moment_degree
         self.carry_degree = carry_degree
         self.transforms = transforms
         self.samplet_offsets = offsets
+        self.groups = groups
+        self.slot_row = slot_row
+        self.sweep_rows = slot_row + tree.n_points
         self.n_scaling = transforms[tree.root.index].n_scaling
 
     @property
@@ -222,6 +283,52 @@ def default_leaf_size(moment_degree: int, dim: int) -> int:
     return max(2 * moment_count(moment_degree, dim), 2)
 
 
+def _level_groups(tree, n_scaling_cap):
+    """Slot offsets, level groups (transforms not yet set) and the first
+    coefficient row of the sweep buffer.
+
+    The counts follow from the tree alone: a leaf takes its points as
+    incoming distributions, an interior cluster its children's scaling
+    distributions, and every cluster keeps min(cap, n_in) of them.
+    """
+    clusters = tree.clusters
+    root = tree.root.index
+    n_in = np.empty(len(clusters), dtype=int)
+    for c in tree.postorder:
+        n_in[c.index] = c.size if c.is_leaf else sum(
+            min(n_in[ch.index], n_scaling_cap) for ch in c.children
+        )
+    n_sc = np.minimum(n_in, n_scaling_cap)
+    n_samplets = n_in - n_sc
+    offsets = n_sc[root] + np.cumsum(n_samplets) - n_samplets  # pre-order
+    level = np.array([c.level for c in clusters])
+    is_leaf = np.array([c.is_leaf for c in clusters])
+    rest = np.lexsort((np.arange(len(clusters)), level))[1:]  # non-root, by level
+    up = np.empty(len(clusters), dtype=int)
+    up[rest] = np.cumsum(n_sc[rest]) - n_sc[rest]
+    slot_row = int(n_sc[rest].sum())
+    up[root] = slot_row  # the root's scaling distributions lead the slots
+    first = np.array(
+        [c.start if c.is_leaf else up[c.children[0].index] for c in clusters]
+    )
+    groups = []
+    for lev in range(tree.depth, -1, -1):
+        members = np.flatnonzero(level == lev)
+        kinds = np.stack([is_leaf[members], n_in[members]], axis=1)
+        for leaf, width in np.unique(kinds, axis=0).tolist():
+            index = members[(kinds == (leaf, width)).all(axis=1)]
+            ns = min(width, n_scaling_cap)
+            gather = first[index, None] + np.arange(width)
+            if leaf:
+                gather = tree.permutation[gather]
+            scatter = np.hstack([
+                up[index, None] + np.arange(ns),
+                slot_row + offsets[index, None] + np.arange(width - ns),
+            ])
+            groups.append(LevelGroup(lev, bool(leaf), index, ns, gather, scatter))
+    return offsets, groups, slot_row
+
+
 def build_samplet_basis(
     tree: ClusterTree, moment_degree: int, carry_degree: int | None = None
 ) -> SampletBasis:
@@ -231,6 +338,15 @@ def build_samplet_basis(
     annihilates.  `carry_degree` (>= moment_degree) carries extra moment
     rows through the sweep so later samplets in each cluster pick up
     successively more vanishing moments; default is no extra rows.
+
+    Each level group takes one stacked QR factorization of its clusters'
+    moment matrices (`LevelGroup.factorize`).  The first min(n_in, number of
+    moments up to moment_degree) columns of Q become scaling distributions,
+    the rest samplets; the k-th generated
+    distribution has at least k-1 vanishing moments, and rank-deficient
+    moment matrices only produce samplets with extra vanishing moments.  The
+    scaling moments (R^T) are re-expanded into the parent's frame, so no
+    point data is revisited above the leaf level.
     """
     if moment_degree < 0:
         raise ValueError("moment_degree must be >= 0")
@@ -238,24 +354,44 @@ def build_samplet_basis(
         carry_degree = moment_degree
     if carry_degree < moment_degree:
         raise ValueError("carry_degree must be >= moment_degree")
-    dim = tree.cloud.dim
-    exponents = monomial_exponents(dim, carry_degree)
-    n_scaling_cap = moment_count(moment_degree, dim)
+    exponents = monomial_exponents(tree.cloud.dim, carry_degree)
+    offsets, groups, slot_row = _level_groups(
+        tree, moment_count(moment_degree, tree.cloud.dim)
+    )
+    centers, scales = local_frames(tree)
+    parent = np.zeros(len(tree.clusters), dtype=int)
+    for c in tree.clusters:
+        for child in c.children:
+            parent[child.index] = c.index
 
+    # moments of the scaling distributions in their parent's frame, by
+    # sweep buffer row; leaves take the Diracs' moments in their own frame
+    moments = np.empty((slot_row, len(exponents)))
     transforms = [None] * len(tree.clusters)
-    for cluster in tree.postorder:
-        moments, center, scale = moment_matrix(tree, cluster, transforms, exponents)
-        transforms[cluster.index] = cluster_transform(
-            moments, center, scale, n_scaling_cap
-        )
-
-    offsets = np.zeros(len(tree.clusters), dtype=int)
-    slot = transforms[tree.root.index].n_scaling
-    for cluster in tree.clusters:  # pre-order
-        offsets[cluster.index] = slot
-        slot += transforms[cluster.index].n_samplets
-    assert slot == tree.n_points
-    return SampletBasis(tree, moment_degree, carry_degree, transforms, offsets)
+    for g in groups:
+        if g.leaf:
+            R = g.factorize(dirac_moments(
+                tree.cloud.points[g.gather], exponents,
+                centers[g.index, None], scales[g.index, None, None],
+            ))
+        else:
+            R = g.factorize(moments[g.gather])
+        for i, q in zip(g.index.tolist(), g.q):
+            transforms[i] = ClusterTransform(q, g.n_scaling)
+        if g.level > 0:
+            p = parent[g.index]
+            shift = moment_shift_matrix(
+                exponents,
+                scales[g.index] / scales[p],
+                (centers[g.index] - centers[p]) / scales[p, None],
+            )
+            scaling = R.transpose(0, 2, 1)[:, :, : g.n_scaling]
+            moments[g.scatter[:, : g.n_scaling]] = np.matmul(shift, scaling).transpose(
+                0, 2, 1
+            )
+    return SampletBasis(
+        tree, moment_degree, carry_degree, transforms, offsets, groups, slot_row
+    )
 
 
 def build_basis(cloud, moment_degree, leaf_size=None, carry_degree=None):
@@ -271,6 +407,32 @@ def build_basis(cloud, moment_degree, leaf_size=None, carry_degree=None):
     return build_samplet_basis(tree, moment_degree, carry_degree)
 
 
+def _weight_sweep(basis, cluster, visit=None):
+    """Dense Dirac weights of a cluster's scaling distributions and samplets.
+
+    Returns a (cluster.size, n_in) matrix in tree point order; column j holds
+    the weights of the j-th generated distribution.  Applies `visit(cluster,
+    weights)` to every cluster of the subtree, children first.  Works per
+    cluster from `ClusterTransform.q`, independent of the batched sweeps.
+    """
+    t = basis.transforms[cluster.index]
+    if cluster.is_leaf:
+        weights = t.q.copy()
+    else:
+        carrier = np.zeros((cluster.size, t.n_in))
+        col = 0
+        for child in cluster.children:
+            n_sc = basis.transforms[child.index].n_scaling
+            r0 = child.start - cluster.start
+            w_child = _weight_sweep(basis, child, visit)
+            carrier[r0 : r0 + child.size, col : col + n_sc] = w_child[:, :n_sc]
+            col += n_sc
+        weights = carrier @ t.q
+    if visit is not None:
+        visit(cluster, weights)
+    return weights
+
+
 def cluster_weight_matrix(basis, cluster):
     """Dense weight vectors of a cluster's scaling and samplet distributions.
 
@@ -278,20 +440,7 @@ def cluster_weight_matrix(basis, cluster):
     order; column j holds the Dirac weights of the j-th basis distribution.
     Cost is proportional to cluster size times block width.
     """
-    t = basis.transforms[cluster.index]
-    if cluster.is_leaf:
-        return np.hstack([t.q_phi, t.q_sigma])
-    rows = cluster.size
-    n_in = t.n_in
-    carrier = np.zeros((rows, n_in))
-    col = 0
-    for child in cluster.children:
-        w_child = cluster_weight_matrix(basis, child)
-        n_sc = basis.transforms[child.index].n_scaling
-        r0 = child.start - cluster.start
-        carrier[r0 : r0 + child.size, col : col + n_sc] = w_child[:, :n_sc]
-        col += n_sc
-    return carrier @ np.hstack([t.q_phi, t.q_sigma])
+    return _weight_sweep(basis, cluster)
 
 
 def assemble_dense_transform(basis: SampletBasis, guard: int = 8192) -> np.ndarray:
@@ -303,25 +452,13 @@ def assemble_dense_transform(basis: SampletBasis, guard: int = 8192) -> np.ndarr
     tree = basis.tree
     T = np.zeros((n, n))
 
-    def sweep(cluster):
-        t = basis.transforms[cluster.index]
-        if cluster.is_leaf:
-            w_full = np.hstack([t.q_phi, t.q_sigma])
-        else:
-            carrier = np.zeros((cluster.size, t.n_in))
-            col = 0
-            for child in cluster.children:
-                w_phi = sweep(child)
-                r0 = child.start - cluster.start
-                carrier[r0 : r0 + child.size, col : col + w_phi.shape[1]] = w_phi
-                col += w_phi.shape[1]
-            w_full = carrier @ np.hstack([t.q_phi, t.q_sigma])
+    def place(cluster, weights):
+        n_sc = basis.transforms[cluster.index].n_scaling
         cols = tree.permutation[cluster.start : cluster.stop]
         lo, hi = basis.samplet_slots(cluster)
-        T[lo:hi, cols] = w_full[:, t.n_scaling :].T
+        T[lo:hi, cols] = weights[:, n_sc:].T
         if cluster is tree.root:
-            T[: t.n_scaling, cols] = w_full[:, : t.n_scaling].T
-        return w_full[:, : t.n_scaling]
+            T[:n_sc, cols] = weights[:, :n_sc].T
 
-    sweep(tree.root)
+    _weight_sweep(basis, tree.root, place)
     return T

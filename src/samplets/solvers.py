@@ -44,9 +44,10 @@ def _rmatvec(op, x):
 def conjugate_gradient(matvec, rhs, tol, max_iter, x0=None, best_effort=False):
     """Plain CG for SPD operators; stops at ||residual|| <= tol * ||rhs||.
 
-    Returns (solution, iterations, final residual norm); raises SolverError
-    when the iteration budget is exhausted unless `best_effort` is set, in
-    which case the last iterate is returned.
+    Returns (solution, iterations, final residual norm).  Stops early when a
+    search direction has p^T A p <= 0 (the operator is not positive definite
+    on it).  Unless the target is met, raises SolverError on either exit,
+    naming its cause; with `best_effort` the last iterate is returned.
     """
     rhs = np.asarray(rhs, dtype=float)
     norm = np.linalg.norm(rhs)
@@ -58,6 +59,7 @@ def conjugate_gradient(matvec, rhs, tol, max_iter, x0=None, best_effort=False):
     rr = float(r @ r)
     target = tol * norm
     trace = []
+    iters = max_iter
     for it in range(max_iter):
         res = np.sqrt(rr)
         trace.append(res)
@@ -65,7 +67,8 @@ def conjugate_gradient(matvec, rhs, tol, max_iter, x0=None, best_effort=False):
             return x, it, res
         Ap = matvec(p)
         pAp = float(p @ Ap)
-        if pAp <= 0.0:  # loss of positive definiteness at round-off level
+        if pAp <= 0.0:
+            iters = it
             break
         alpha = rr / pAp
         x += alpha * p
@@ -75,13 +78,18 @@ def conjugate_gradient(matvec, rhs, tol, max_iter, x0=None, best_effort=False):
         rr = rr_new
     res = float(np.linalg.norm(rhs - matvec(x)))
     if res <= target or best_effort:
-        return x, max_iter, res
-    raise SolverError(
-        f"conjugate gradient did not reach {target:.3e} in {max_iter} iterations "
-        f"(residual {res:.3e})",
-        res,
-        trace,
-    )
+        return x, iters, res
+    if iters < max_iter:
+        message = (
+            f"conjugate gradient lost positive definiteness (p^T A p = {pAp:.3e}) "
+            f"after {iters} iterations (residual {res:.3e}, target {target:.3e})"
+        )
+    else:
+        message = (
+            f"conjugate gradient did not reach {target:.3e} in {max_iter} "
+            f"iterations (residual {res:.3e})"
+        )
+    raise SolverError(message, res, trace)
 
 
 @dataclass

@@ -1,8 +1,9 @@
 """Fast change of basis between point values and samplet coefficients.
 
-Both directions sweep the cluster tree once and apply each cluster's small
-orthogonal transform, so the cost is linear in the number of points.  The
-slot enumeration is the one fixed by SampletBasis.
+Both directions sweep the cluster tree once, one stacked product per level
+group of the basis, so the cost is linear in the number of points and the
+Python work is per level, not per cluster.  The slot enumeration is the one
+fixed by SampletBasis.
 """
 
 from __future__ import annotations
@@ -57,26 +58,15 @@ def forward_transform(basis: SampletBasis, values, out=None) -> CoefficientVecto
     returns a plain array of transformed columns.  Pass `out` to reuse a
     buffer (in-place when `out is values`).
     """
-    tree = basis.tree
     arr, squeeze = _as_columns(values, basis.n)
-    work = arr[tree.permutation]
+    buf = np.empty((basis.sweep_rows, arr.shape[1]))
+    for g in basis.groups:  # deepest level first
+        buf[g.scatter] = g.analyze((arr if g.leaf else buf)[g.gather])
     if out is None:
-        out = np.empty_like(work)
+        out = buf[basis.slot_row :].copy()
     else:
         out, _ = _as_columns(out, basis.n)
-    scaling = [None] * len(tree.clusters)
-    for cluster in tree.postorder:
-        t = basis.transforms[cluster.index]
-        if cluster.is_leaf:
-            x = work[cluster.start : cluster.stop]
-        else:
-            left, right = cluster.children
-            x = np.concatenate([scaling[left.index], scaling[right.index]])
-            scaling[left.index] = scaling[right.index] = None
-        scaling[cluster.index] = t.q_phi.T @ x
-        lo, hi = basis.samplet_slots(cluster)
-        out[lo:hi] = t.q_sigma.T @ x
-    out[: basis.n_scaling] = scaling[tree.root.index]
+        out[:] = buf[basis.slot_row :]
     if squeeze:
         return CoefficientVector(out[:, 0], basis)
     return out
@@ -88,24 +78,12 @@ def inverse_transform(basis: SampletBasis, coeffs):
         if coeffs.basis is not basis:
             raise ValueError("basis mismatch: coefficients belong to another basis")
         coeffs = coeffs.slots
-    tree = basis.tree
     arr, squeeze = _as_columns(coeffs, basis.n)
-    work = np.empty_like(arr)
-    stack = [(tree.root, arr[: basis.n_scaling])]
-    while stack:
-        cluster, phi = stack.pop()
-        t = basis.transforms[cluster.index]
-        lo, hi = basis.samplet_slots(cluster)
-        x = t.q_phi @ phi + t.q_sigma @ arr[lo:hi]
-        if cluster.is_leaf:
-            work[cluster.start : cluster.stop] = x
-        else:
-            left, right = cluster.children
-            n_left = basis.transforms[left.index].n_scaling
-            stack.append((left, x[:n_left]))
-            stack.append((right, x[n_left:]))
+    buf = np.empty((basis.sweep_rows, arr.shape[1]))
+    buf[basis.slot_row :] = arr
     out = np.empty_like(arr)
-    out[tree.permutation] = work
+    for g in reversed(basis.groups):  # root first
+        (out if g.leaf else buf)[g.gather] = g.synthesize(buf[g.scatter])
     if squeeze:
         return out[:, 0]
     return out

@@ -1,4 +1,5 @@
 import time
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from samplets import (
 from samplets.construction import (
     build_samplet_basis,
     cluster_weight_matrix,
-    moment_matrix,
+    dirac_moments,
+    local_frames,
+    moment_shift_matrix,
     monomial_exponents,
     monomial_values,
 )
@@ -40,11 +43,15 @@ def test_moment_matrix_constant_row_and_local_frame():
     rng = np.random.default_rng(0)
     pts = rng.random((6, 2))
     tree = build_cluster_tree(PointCloud(pts), 6)
-    m, center, scale = moment_matrix(tree, tree.root, [None], monomial_exponents(2, 1))
+    centers, scales = local_frames(tree)
+    m = dirac_moments(pts, monomial_exponents(2, 1), centers[0], scales[0]).T
     # degree-0 row is all ones regardless of the local frame
     np.testing.assert_allclose(m[0], np.ones(6))
-    local = (tree.cluster_points(tree.root) - center) / scale
+    local = (pts - centers[0]) / scales[0]
     np.testing.assert_allclose(m, monomial_values(local, monomial_exponents(2, 1)))
+    root = tree.root
+    np.testing.assert_allclose(centers[0], 0.5 * (root.bbox_lo + root.bbox_hi))
+    assert scales[0] == 0.5 * np.linalg.norm(root.bbox_hi - root.bbox_lo)
 
 
 def test_haar_pair_for_two_points():
@@ -189,3 +196,80 @@ def test_construction_cost_roughly_linear():
             best = min(best, time.perf_counter() - t0)
         times.append(best)
     assert times[1] / times[0] <= 2.5
+
+
+def _shift_reference(exponents, scale_ratio, offset):
+    """Term-by-term re-expansion x^alpha = sum_beta S[alpha, beta] y^beta."""
+    m, dim = exponents.shape
+    total = exponents.sum(axis=1)
+    pos = {tuple(e): i for i, e in enumerate(exponents)}
+    S = np.zeros((m, m))
+    for i, alpha in enumerate(exponents):
+        for j, beta in enumerate(exponents):
+            if total[j] > total[i] or np.any(beta > alpha):
+                continue
+            coeff = scale_ratio ** int(total[j])
+            for k in range(dim):
+                coeff *= comb(int(alpha[k]), int(beta[k])) * offset[k] ** int(
+                    alpha[k] - beta[k]
+                )
+            S[i, pos[tuple(beta)]] = coeff
+    return S
+
+
+def test_moment_shift_closed_form_matches_expansion_bitwise():
+    rng = np.random.default_rng(20)
+    for dim in range(1, 7):
+        for degree in range(5):
+            exponents = monomial_exponents(dim, degree)
+            ratios = rng.uniform(0.05, 1.0, 3)
+            offsets = rng.uniform(-1.0, 1.0, (3, dim))
+            offsets[0, 0] = 0.0
+            stack = moment_shift_matrix(exponents, ratios, offsets)
+            for r, o, S in zip(ratios, offsets, stack):
+                ref = _shift_reference(exponents, float(r), o)
+                assert np.array_equal(moment_shift_matrix(exponents, float(r), o), ref)
+                assert np.array_equal(S, ref)
+
+
+def test_moment_shift_reexpands_monomials():
+    rng = np.random.default_rng(21)
+    exponents = monomial_exponents(3, 3)
+    y = rng.uniform(-1.0, 1.0, (10, 3))
+    r, o = 0.4, rng.uniform(-0.5, 0.5, 3)
+    S = moment_shift_matrix(exponents, r, o)
+    np.testing.assert_allclose(
+        monomial_values(r * y + o, exponents), S @ monomial_values(y, exponents),
+        atol=1e-14,
+    )
+
+
+@pytest.mark.parametrize("leaf_size", [None, 40])
+def test_level_groups_hold_each_transform_once(leaf_size):
+    rng = np.random.default_rng(22)
+    basis = build_basis(rng.random((777, 3)), 1 if leaf_size else 2, leaf_size)
+    seen = np.concatenate([g.index for g in basis.groups])
+    assert sorted(seen.tolist()) == list(range(len(basis.tree.clusters)))
+    levels = [g.level for g in basis.groups]
+    assert levels == sorted(levels, reverse=True)
+    for g in basis.groups:
+        assert g.q.shape == (len(g.index), g.gather.shape[1], g.gather.shape[1])
+        assert g.scatter.shape == g.gather.shape
+        for k, i in enumerate(g.index.tolist()):
+            t = basis.transforms[i]
+            assert basis.tree.clusters[i].level == g.level
+            assert t.n_scaling == g.n_scaling
+            assert np.shares_memory(t.q, g.q) and np.array_equal(t.q, g.q[k])
+        x = rng.standard_normal(g.gather.shape + (2,))
+        np.testing.assert_allclose(g.analyze(x), g.q.transpose(0, 2, 1) @ x, atol=1e-13)
+        np.testing.assert_allclose(g.synthesize(x), g.q @ x, atol=1e-13)
+    # WY form only for thin moment matrices: leaves of 24-25 points, m = 4
+    assert any(g.wy is not None for g in basis.groups) == bool(leaf_size)
+    # every point and every buffer row is read once and written once
+    points = np.concatenate([g.gather.ravel() for g in basis.groups if g.leaf])
+    rows = np.concatenate([g.gather.ravel() for g in basis.groups if not g.leaf])
+    scattered = np.concatenate([g.scatter.ravel() for g in basis.groups])
+    assert np.array_equal(np.sort(points), np.arange(basis.n))
+    assert np.array_equal(np.sort(rows), np.arange(basis.slot_row))
+    assert np.array_equal(np.sort(scattered), np.arange(basis.sweep_rows))
+    assert all(g.leaf == basis.tree.clusters[g.index[0]].is_leaf for g in basis.groups)

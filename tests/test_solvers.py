@@ -17,7 +17,7 @@ from samplets import (
     solve_pursuit,
     transform_matrix_congruence,
 )
-from samplets.solvers import _StackedOperator
+from samplets.solvers import _StackedOperator, conjugate_gradient
 from samplets.transform import CoefficientVector
 
 
@@ -75,6 +75,24 @@ def test_interpolation_nonconvergence_carries_residual(dense64):
         solve_interpolation(InterpolationProblem(K, h, tol=1e-14, max_iter=2))
     assert err.value.residual > 0
     assert len(err.value.trace) > 0
+
+
+def test_cg_reports_loss_of_definiteness():
+    # symmetric indefinite: the first step is fine (x = 1), the second
+    # search direction has p^T A p < 0
+    A = np.diag([3.0, 1.0, -1.0])
+    b = np.ones(3)
+    x, iters, res = conjugate_gradient(lambda v: A @ v, b, 1e-10, 50, best_effort=True)
+    assert iters == 1
+    np.testing.assert_allclose(x, [1.0, 1.0, 1.0])
+    assert res == pytest.approx(np.sqrt(8.0))
+    with pytest.raises(SolverError, match="lost positive definiteness") as err:
+        conjugate_gradient(lambda v: A @ v, b, 1e-10, 50)
+    assert "after 1 iterations" in str(err.value)
+    assert err.value.residual == pytest.approx(np.sqrt(8.0))
+    assert len(err.value.trace) == 2
+    with pytest.raises(SolverError, match="did not reach"):
+        conjugate_gradient(lambda v: np.abs(A) @ v, b, 1e-14, 1)
 
 
 def test_interpolation_coefficient_vector_round_trip(dense64):

@@ -120,3 +120,79 @@ def test_matrix_valued_transform_consistent(basis512):
         np.testing.assert_allclose(
             batch[:, k], forward_transform(basis512, F[:, k]).slots, atol=1e-13
         )
+
+
+def _sweep_reference(basis, values):
+    """Per-cluster forward and inverse sweeps over the tree; `values` is read
+    both as point values and as coefficient slots."""
+    tree = basis.tree
+    values = np.asarray(values, dtype=float)
+    work = values[tree.permutation]
+    coeffs = np.empty_like(work)
+    scaling = {}
+    for cluster in tree.postorder:
+        t = basis.transforms[cluster.index]
+        if cluster.is_leaf:
+            x = work[cluster.start : cluster.stop]
+        else:
+            x = np.concatenate([scaling.pop(c.index) for c in cluster.children])
+        scaling[cluster.index] = t.q_phi.T @ x
+        lo, hi = basis.samplet_slots(cluster)
+        coeffs[lo:hi] = t.q_sigma.T @ x
+    coeffs[: basis.n_scaling] = scaling[tree.root.index]
+
+    back = np.empty_like(work)
+    stack = [(tree.root, values[: basis.n_scaling])]
+    while stack:
+        cluster, phi = stack.pop()
+        t = basis.transforms[cluster.index]
+        lo, hi = basis.samplet_slots(cluster)
+        x = t.q_phi @ phi + t.q_sigma @ values[lo:hi]
+        if cluster.is_leaf:
+            back[cluster.start : cluster.stop] = x
+        else:
+            for c in cluster.children:
+                n_sc = basis.transforms[c.index].n_scaling
+                stack.append((c, x[:n_sc]))
+                x = x[n_sc:]
+    inverse = np.empty_like(back)
+    inverse[tree.permutation] = back
+    return coeffs, inverse
+
+
+def _irregular_clouds():
+    rng = np.random.default_rng(30)
+    for dim in range(1, 7):
+        yield rng.random((101 + 2 * dim, dim)), {"moment_degree": 1}
+    yield rng.random((333, 2)), {"moment_degree": 2}
+    yield np.repeat(rng.random((40, 2)), 5, axis=0), {"moment_degree": 2}
+    yield rng.random((7, 3)), {"moment_degree": 2}  # below the leaf size
+    yield rng.random((1, 2)), {"moment_degree": 1}
+    yield rng.random((257, 2)), {"moment_degree": 1, "carry_degree": 3}
+    yield 1e8 + rng.random((150, 2)), {"moment_degree": 2, "leaf_size": 13}
+    # thin moment matrices: transforms applied in compact WY form
+    yield rng.random((1001, 2)), {"moment_degree": 1, "leaf_size": 32}
+    dup = np.repeat(rng.random((50, 3)), 20, axis=0)
+    yield dup, {"moment_degree": 1, "leaf_size": 40}
+
+
+IRREGULAR = list(_irregular_clouds())
+
+
+@pytest.mark.parametrize("case", range(len(IRREGULAR)))
+def test_batched_sweeps_match_per_cluster_reference(case):
+    pts, kw = IRREGULAR[case]
+    basis = build_basis(pts, **kw)
+    n = len(pts)
+    rng = np.random.default_rng(case)
+    f = rng.standard_normal((n, 3))
+    fwd = forward_transform(basis, f)
+    inv = inverse_transform(basis, f)
+    for col in range(3):
+        ref_fwd, ref_inv = _sweep_reference(basis, f[:, col])
+        scale = np.abs(f[:, col]).max()
+        assert np.abs(fwd[:, col] - ref_fwd).max() <= 1e-13 * scale
+        assert np.abs(inv[:, col] - ref_inv).max() <= 1e-13 * scale
+        vec = forward_transform(basis, f[:, col])
+        assert np.abs(vec.slots - ref_fwd).max() <= 1e-13 * scale
+        assert np.abs(inverse_transform(basis, vec) - f[:, col]).max() <= 1e-13 * scale
