@@ -128,9 +128,15 @@ class LevelGroup:
     (scaling distributions first, then samplets).
 
     For thin moment matrices (n_in >= 4k, k = min(n_in, m) Householder
-    reflectors) the sweeps apply Q in WY form instead, Q = (I - W Y^T)
-    diag(sign) with W, Y of shape n_in x k: that reads 2 k n_in numbers per
-    cluster instead of n_in^2.
+    reflectors) the sweeps apply Q in compact WY form instead: with S =
+    diag(sign) the +-1 column signs (stored as int8), V (n_in x k) the
+    reflectors and T (k x k) their triangular factor, Q = (I - V T V^T) S =
+    S (I - U T U^T) for U = S V.  That reads about 8k + 1 bytes per incoming
+    value instead of 8 n_in.
+
+    `analyze` and `synthesize` take stacks with or without a trailing column
+    axis (clusters x n_in [x cols]).  They may overwrite their input: the
+    compact WY form works in its memory.
     """
 
     __slots__ = ("level", "leaf", "index", "n_scaling", "gather", "scatter", "q", "wy")
@@ -153,38 +159,52 @@ class LevelGroup:
         self.q = Q
         n, k = moments.shape[1], min(moments.shape[1:])
         if 4 * k <= n:
-            self.wy = (*_wy_factors(moments, k), sign[..., None])
+            vt, t = _wy_factors(moments, k)
+            self.wy = (vt * sign[:, None, :], t, sign.astype(np.int8))
         return R
 
     def analyze(self, x):
-        """Q^T x for a stack x of incoming values (clusters x n_in x cols)."""
+        """Q^T x for a stack x of incoming values."""
         if self.wy is None:
-            return np.matmul(self.q.transpose(0, 2, 1), x)
-        w, y, sign = self.wy
-        return sign * (x - y @ (w.transpose(0, 2, 1) @ x))
+            return _matmul(self.q.transpose(0, 2, 1), x)
+        ut, t, sign = self.wy  # ut = U^T
+        x *= sign.reshape(sign.shape + (1,) * (x.ndim - 2))
+        z = _matmul(t.transpose(0, 2, 1), _matmul(ut, x))
+        x -= _matmul(ut.transpose(0, 2, 1), z)
+        return x
 
     def synthesize(self, x):
-        """Q x for a stack x of generated values (clusters x n_in x cols)."""
+        """Q x for a stack x of generated values."""
         if self.wy is None:
-            return np.matmul(self.q, x)
-        w, y, sign = self.wy
-        z = sign * x
-        return z - w @ (y.transpose(0, 2, 1) @ z)
+            return _matmul(self.q, x)
+        ut, t, sign = self.wy
+        z = _matmul(t, _matmul(ut, x))
+        x -= _matmul(ut.transpose(0, 2, 1), z)
+        x *= sign.reshape(sign.shape + (1,) * (x.ndim - 2))
+        return x
+
+
+def _matmul(a, x):
+    """a @ x for a stack of matrices a and a stack x of vectors or matrices."""
+    if x.ndim == 2:
+        return np.matmul(a, x[..., None])[..., 0]
+    return np.matmul(a, x)
 
 
 def _wy_factors(moments, k):
-    """W = V T and Y = V with H_1 ... H_k = I - W Y^T for LAPACK's
-    Householder QR of the stack: V holds the unit lower trapezoidal
-    reflectors, T is the upper triangular factor built column by column."""
+    """V^T and T with H_1 ... H_k = I - V T V^T for LAPACK's Householder QR
+    of the stack: V holds the unit lower trapezoidal reflectors (stored
+    transposed, clusters x k x n_in, so the sweeps read it contiguously), T
+    is the upper triangular factor built column by column."""
     h, tau = np.linalg.qr(moments, mode="raw")
-    v = np.tril(np.swapaxes(h, -1, -2)[..., :k], -1)
-    v[:, np.arange(k), np.arange(k)] = 1.0
+    vt = np.triu(h[:, :k, :], 1)
+    vt[:, np.arange(k), np.arange(k)] = 1.0
     t = np.zeros(tau.shape + (k,))
     for j in range(k):
         t[:, j, j] = tau[:, j]
-        vv = np.einsum("cnj,cn->cj", v[:, :, :j], v[:, :, j])
+        vv = np.einsum("cjn,cn->cj", vt[:, :j, :], vt[:, j, :])
         t[:, :j, j] = -tau[:, j, None] * np.einsum("cij,cj->ci", t[:, :j, :j], vv)
-    return v @ t, v
+    return vt, t
 
 
 def local_frames(tree):

@@ -41,14 +41,13 @@ class CoefficientVector:
         return CoefficientVector(self.slots.copy(), self.basis)
 
 
-def _as_columns(values, n):
+def _rows(values, n):
+    """Float vector or (n, k) matrix; vectors stay one-dimensional, so the
+    sweeps gather and scatter single values, not rows."""
     arr = np.asarray(values, dtype=float)
     if arr.shape[0] != n:
         raise ValueError(f"length mismatch: expected {n}, got {arr.shape[0]}")
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-    return arr, squeeze
+    return arr
 
 
 def forward_transform(basis: SampletBasis, values, out=None) -> CoefficientVector:
@@ -58,18 +57,19 @@ def forward_transform(basis: SampletBasis, values, out=None) -> CoefficientVecto
     returns a plain array of transformed columns.  Pass `out` to reuse a
     buffer (in-place when `out is values`).
     """
-    arr, squeeze = _as_columns(values, basis.n)
-    buf = np.empty((basis.sweep_rows, arr.shape[1]))
+    arr = _rows(values, basis.n)
+    buf = np.empty((basis.sweep_rows,) + arr.shape[1:])
     for g in basis.groups:  # deepest level first
-        buf[g.scatter] = g.analyze((arr if g.leaf else buf)[g.gather])
-    if out is None:
-        out = buf[basis.slot_row :].copy()
-    else:
-        out, _ = _as_columns(out, basis.n)
-        out[:] = buf[basis.slot_row :]
-    if squeeze:
-        return CoefficientVector(out[:, 0], basis)
-    return out
+        x = np.take(arr if g.leaf else buf, g.gather, axis=0)
+        buf[g.scatter] = g.analyze(x)
+    coeffs = buf[basis.slot_row :]  # the coefficient slots end the buffer
+    if out is not None:
+        out = _rows(out, basis.n)
+        out[:] = coeffs
+        coeffs = out
+    if arr.ndim == 1:
+        return CoefficientVector(coeffs, basis)
+    return coeffs
 
 
 def inverse_transform(basis: SampletBasis, coeffs):
@@ -78,14 +78,13 @@ def inverse_transform(basis: SampletBasis, coeffs):
         if coeffs.basis is not basis:
             raise ValueError("basis mismatch: coefficients belong to another basis")
         coeffs = coeffs.slots
-    arr, squeeze = _as_columns(coeffs, basis.n)
-    buf = np.empty((basis.sweep_rows, arr.shape[1]))
+    arr = _rows(coeffs, basis.n)
+    buf = np.empty((basis.sweep_rows,) + arr.shape[1:])
     buf[basis.slot_row :] = arr
     out = np.empty_like(arr)
     for g in reversed(basis.groups):  # root first
-        (out if g.leaf else buf)[g.gather] = g.synthesize(buf[g.scatter])
-    if squeeze:
-        return out[:, 0]
+        x = np.take(buf, g.scatter, axis=0)
+        (out if g.leaf else buf)[g.gather] = g.synthesize(x)
     return out
 
 

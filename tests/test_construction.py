@@ -261,8 +261,10 @@ def test_level_groups_hold_each_transform_once(leaf_size):
             assert t.n_scaling == g.n_scaling
             assert np.shares_memory(t.q, g.q) and np.array_equal(t.q, g.q[k])
         x = rng.standard_normal(g.gather.shape + (2,))
-        np.testing.assert_allclose(g.analyze(x), g.q.transpose(0, 2, 1) @ x, atol=1e-13)
-        np.testing.assert_allclose(g.synthesize(x), g.q @ x, atol=1e-13)
+        # both may overwrite their input
+        qt_x, q_x = g.q.transpose(0, 2, 1) @ x, g.q @ x
+        np.testing.assert_allclose(g.analyze(x.copy()), qt_x, atol=1e-13)
+        np.testing.assert_allclose(g.synthesize(x.copy()), q_x, atol=1e-13)
     # WY form only for thin moment matrices: leaves of 24-25 points, m = 4
     assert any(g.wy is not None for g in basis.groups) == bool(leaf_size)
     # every point and every buffer row is read once and written once
