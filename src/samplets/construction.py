@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .points import PointCloud
 from .tree import ClusterTree, build_cluster_tree, cluster_diam
@@ -90,14 +91,22 @@ class ClusterTransform:
     `q` (n_in x n_in) combines the n_in incoming distributions (Diracs at a
     leaf, children's scaling distributions otherwise): its first `n_scaling`
     columns generate the scaling distributions, the rest the samplets.  `q`
-    is a view into the stack of the cluster's level group.
+    is the cluster's matrix in the stack of its level group.
     """
 
-    __slots__ = ("q", "n_scaling")
+    __slots__ = ("group", "position")
 
-    def __init__(self, q, n_scaling):
-        self.q = q
-        self.n_scaling = n_scaling
+    def __init__(self, group, position):
+        self.group = group
+        self.position = position
+
+    @property
+    def q(self):
+        return self.group.q[self.position]
+
+    @property
+    def n_scaling(self):
+        return self.group.n_scaling
 
     @property
     def q_phi(self):
@@ -109,37 +118,39 @@ class ClusterTransform:
 
     @property
     def n_in(self):
-        return self.q.shape[0]
+        return self.group.gather.shape[1]
 
     @property
     def n_samplets(self):
-        return self.q.shape[0] - self.n_scaling
+        return self.n_in - self.n_scaling
 
 
 class LevelGroup:
     """Clusters of one tree level, all leaves or all interior, with equal
     n_in (hence equal n_scaling).
 
-    `index` lists their pre-order ids and `q` stacks their transforms
-    (clusters x n_in x n_in).  Row `gather[c, i]` holds the i-th incoming
-    distribution of the c-th cluster: a point index (original order) in a
-    leaf group, a row of the sweep buffer of the SampletBasis otherwise.
-    Buffer row `scatter[c, j]` receives its j-th generated distribution
-    (scaling distributions first, then samplets).
+    `index` lists their pre-order ids.  Row `gather[c, i]` holds the i-th
+    incoming distribution of the c-th cluster: a point index (original
+    order) in a leaf group, a row of the sweep buffer of the SampletBasis
+    otherwise.  Buffer row `scatter[c, j]` receives its j-th generated
+    distribution (scaling distributions first, then samplets).
 
-    For thin moment matrices (n_in >= 4k, k = min(n_in, m) Householder
-    reflectors) the sweeps apply Q in compact WY form instead: with S =
-    diag(sign) the +-1 column signs (stored as int8), V (n_in x k) the
-    reflectors and T (k x k) their triangular factor, Q = (I - V T V^T) S =
-    S (I - U T U^T) for U = S V.  That reads about 8k + 1 bytes per incoming
-    value instead of 8 n_in.
+    The transforms are stored in compact WY form: with S = diag(sign) the
+    +-1 column signs (int8), V (n_in x k) the k = min(n_in, m) Householder
+    reflectors of the QR and T (k x k) their triangular factor, Q = (I - V T
+    V^T) S = S (I - U T U^T) for U = S V; `ut` holds U^T.  The sweeps read
+    about 8k + 1 bytes per incoming value, fewer than the 8 n_in of an
+    explicit Q whenever the moment matrix is thin.  The explicit stack `q`
+    is formed on first use.
 
     `analyze` and `synthesize` take stacks with or without a trailing column
-    axis (clusters x n_in [x cols]).  They may overwrite their input: the
-    compact WY form works in its memory.
+    axis (clusters x n_in [x cols]) and work in the memory of their input.
     """
 
-    __slots__ = ("level", "leaf", "index", "n_scaling", "gather", "scatter", "q", "wy")
+    __slots__ = (
+        "level", "leaf", "index", "n_scaling", "gather", "scatter", "ut", "t",
+        "sign", "_q",
+    )
 
     def __init__(self, level, leaf, index, n_scaling, gather, scatter):
         self.level = level
@@ -148,39 +159,43 @@ class LevelGroup:
         self.n_scaling = n_scaling
         self.gather = gather
         self.scatter = scatter
-        self.q = None
-        self.wy = None
+        self._q = None
 
     def factorize(self, moments):
-        """Deterministic QR of the stacked transposed moment matrices
-        (clusters x n_in x m): sets the transforms and returns R."""
-        Q, R = np.linalg.qr(moments, mode="complete")
-        sign = _fix_signs(Q, R)
-        self.q = Q
-        n, k = moments.shape[1], min(moments.shape[1:])
-        if 4 * k <= n:
-            vt, t = _wy_factors(moments, k)
-            self.wy = (vt * sign[:, None, :], t, sign.astype(np.int8))
+        """Deterministic Householder QR of the stacked transposed moment
+        matrices (clusters x n_in x m): sets the transforms and returns R."""
+        h, tau = np.linalg.qr(moments, mode="raw")
+        k = tau.shape[-1]
+        vt = np.triu(h[:, :k, :], 1)
+        vt[:, np.arange(k), np.arange(k)] = 1.0
+        R = np.triu(h.transpose(0, 2, 1))
+        sign = _fix_signs(_form_q(vt, tau), R)
+        self.ut = vt * sign[:, None, :]
+        self.t = _triangular_factor(vt, tau)
+        self.sign = sign.astype(np.int8)
         return R
+
+    @property
+    def q(self):
+        """The stacked transforms (clusters x n_in x n_in)."""
+        if self._q is None:
+            sign = self.sign[:, None, :]
+            tau = np.diagonal(self.t, axis1=1, axis2=2)  # T's diagonal is tau
+            self._q = _form_q(self.ut * sign, tau) * sign
+        return self._q
 
     def analyze(self, x):
         """Q^T x for a stack x of incoming values."""
-        if self.wy is None:
-            return _matmul(self.q.transpose(0, 2, 1), x)
-        ut, t, sign = self.wy  # ut = U^T
-        x *= sign.reshape(sign.shape + (1,) * (x.ndim - 2))
-        z = _matmul(t.transpose(0, 2, 1), _matmul(ut, x))
-        x -= _matmul(ut.transpose(0, 2, 1), z)
+        x *= self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 2))
+        z = _matmul(self.t.transpose(0, 2, 1), _matmul(self.ut, x))
+        x -= _matmul(self.ut.transpose(0, 2, 1), z)
         return x
 
     def synthesize(self, x):
         """Q x for a stack x of generated values."""
-        if self.wy is None:
-            return _matmul(self.q, x)
-        ut, t, sign = self.wy
-        z = _matmul(t, _matmul(ut, x))
-        x -= _matmul(ut.transpose(0, 2, 1), z)
-        x *= sign.reshape(sign.shape + (1,) * (x.ndim - 2))
+        z = _matmul(self.t, _matmul(self.ut, x))
+        x -= _matmul(self.ut.transpose(0, 2, 1), z)
+        x *= self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 2))
         return x
 
 
@@ -191,20 +206,28 @@ def _matmul(a, x):
     return np.matmul(a, x)
 
 
-def _wy_factors(moments, k):
-    """V^T and T with H_1 ... H_k = I - V T V^T for LAPACK's Householder QR
-    of the stack: V holds the unit lower trapezoidal reflectors (stored
-    transposed, clusters x k x n_in, so the sweeps read it contiguously), T
-    is the upper triangular factor built column by column."""
-    h, tau = np.linalg.qr(moments, mode="raw")
-    vt = np.triu(h[:, :k, :], 1)
-    vt[:, np.arange(k), np.arange(k)] = 1.0
+def _form_q(vt, tau):
+    """Explicit Q = H_1 ... H_k (clusters x n x n) of the reflectors, given
+    as unit upper trapezoidal V^T (clusters x k x n), and their factors tau.
+
+    Runs numpy's own Q-forming kernel (LAPACK orgqr), the one behind
+    np.linalg.qr(..., mode="complete"), so Q equals that result bit for bit.
+    """
+    return _umath_linalg.qr_complete(vt.transpose(0, 2, 1), tau, signature="dd->d")
+
+
+def _triangular_factor(vt, tau):
+    """Upper triangular T with H_1 ... H_k = I - V T V^T, built column by
+    column (LAPACK's larft recurrence) from V^T (clusters x k x n) and tau."""
+    k = tau.shape[-1]
+    gram = np.matmul(vt, vt.transpose(0, 2, 1))
     t = np.zeros(tau.shape + (k,))
     for j in range(k):
         t[:, j, j] = tau[:, j]
-        vv = np.einsum("cjn,cn->cj", vt[:, :j, :], vt[:, j, :])
-        t[:, :j, j] = -tau[:, j, None] * np.einsum("cij,cj->ci", t[:, :j, :j], vv)
-    return vt, t
+        t[:, :j, j] = -tau[:, j, None] * np.einsum(
+            "cij,cj->ci", t[:, :j, :j], gram[:, :j, j]
+        )
+    return t
 
 
 def local_frames(tree):
@@ -396,8 +419,8 @@ def build_samplet_basis(
             ))
         else:
             R = g.factorize(moments[g.gather])
-        for i, q in zip(g.index.tolist(), g.q):
-            transforms[i] = ClusterTransform(q, g.n_scaling)
+        for position, i in enumerate(g.index.tolist()):
+            transforms[i] = ClusterTransform(g, position)
         if g.level > 0:
             p = parent[g.index]
             shift = moment_shift_matrix(

@@ -50,12 +50,11 @@ def _rows(values, n):
     return arr
 
 
-def forward_transform(basis: SampletBasis, values, out=None) -> CoefficientVector:
+def forward_transform(basis: SampletBasis, values) -> CoefficientVector:
     """Samplet coefficients of point values given in original point order.
 
     Accepts a vector or an (N, k) matrix of k signals; the matrix form
-    returns a plain array of transformed columns.  Pass `out` to reuse a
-    buffer (in-place when `out is values`).
+    returns a plain array of transformed columns.
     """
     arr = _rows(values, basis.n)
     buf = np.empty((basis.sweep_rows,) + arr.shape[1:])
@@ -63,10 +62,6 @@ def forward_transform(basis: SampletBasis, values, out=None) -> CoefficientVecto
         x = np.take(arr if g.leaf else buf, g.gather, axis=0)
         buf[g.scatter] = g.analyze(x)
     coeffs = buf[basis.slot_row :]  # the coefficient slots end the buffer
-    if out is not None:
-        out = _rows(out, basis.n)
-        out[:] = coeffs
-        coeffs = out
     if arr.ndim == 1:
         return CoefficientVector(coeffs, basis)
     return coeffs

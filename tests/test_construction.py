@@ -12,6 +12,7 @@ from samplets import (
     moment_count,
 )
 from samplets.construction import (
+    _fix_signs,
     build_samplet_basis,
     cluster_weight_matrix,
     dirac_moments,
@@ -244,6 +245,25 @@ def test_moment_shift_reexpands_monomials():
     )
 
 
+def test_formed_q_equals_complete_qr_bitwise():
+    # the stacks formed from the stored reflectors are exactly what a
+    # complete QR of the moment matrices gives, duplicate sites included
+    rng = np.random.default_rng(23)
+    pts = np.repeat(rng.random((150, 2)), 2, axis=0)
+    basis = build_basis(pts, 2)
+    exponents = monomial_exponents(2, 2)
+    centers, scales = local_frames(basis.tree)
+    for g in basis.groups:
+        if g.leaf:
+            moments = dirac_moments(
+                pts[g.gather], exponents,
+                centers[g.index, None], scales[g.index, None, None],
+            )
+            Q, R = np.linalg.qr(moments, mode="complete")
+            _fix_signs(Q, R)
+            assert np.array_equal(g.q, Q)
+
+
 @pytest.mark.parametrize("leaf_size", [None, 40])
 def test_level_groups_hold_each_transform_once(leaf_size):
     rng = np.random.default_rng(22)
@@ -253,7 +273,9 @@ def test_level_groups_hold_each_transform_once(leaf_size):
     levels = [g.level for g in basis.groups]
     assert levels == sorted(levels, reverse=True)
     for g in basis.groups:
-        assert g.q.shape == (len(g.index), g.gather.shape[1], g.gather.shape[1])
+        assert g._q is None  # the explicit stack is formed on first use only
+        n_in = g.gather.shape[1]
+        assert g.q.shape == (len(g.index), n_in, n_in)
         assert g.scatter.shape == g.gather.shape
         for k, i in enumerate(g.index.tolist()):
             t = basis.transforms[i]
@@ -265,8 +287,7 @@ def test_level_groups_hold_each_transform_once(leaf_size):
         qt_x, q_x = g.q.transpose(0, 2, 1) @ x, g.q @ x
         np.testing.assert_allclose(g.analyze(x.copy()), qt_x, atol=1e-13)
         np.testing.assert_allclose(g.synthesize(x.copy()), q_x, atol=1e-13)
-    # WY form only for thin moment matrices: leaves of 24-25 points, m = 4
-    assert any(g.wy is not None for g in basis.groups) == bool(leaf_size)
+        np.testing.assert_allclose(g.analyze(x[..., 0].copy()), qt_x[..., 0], atol=1e-13)
     # every point and every buffer row is read once and written once
     points = np.concatenate([g.gather.ravel() for g in basis.groups if g.leaf])
     rows = np.concatenate([g.gather.ravel() for g in basis.groups if not g.leaf])
