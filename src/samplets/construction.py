@@ -166,12 +166,14 @@ class LevelGroup:
         matrices (clusters x n_in x m): sets the transforms and returns R."""
         h, tau = np.linalg.qr(moments, mode="raw")
         k = tau.shape[-1]
+        R = np.triu(h.transpose(0, 2, 1))
         vt = np.triu(h[:, :k, :], 1)
         vt[:, np.arange(k), np.arange(k)] = 1.0
-        R = np.triu(h.transpose(0, 2, 1))
+        del h
         sign = _fix_signs(_form_q(vt, tau), R)
-        self.ut = vt * sign[:, None, :]
-        self.t = _triangular_factor(vt, tau)
+        self.t = _triangular_factor(vt, tau)  # also the factor of U = S V
+        vt *= sign[:, None, :]
+        self.ut = vt
         self.sign = sign.astype(np.int8)
         return R
 
@@ -432,6 +434,7 @@ def build_samplet_basis(
             moments[g.scatter[:, : g.n_scaling]] = np.matmul(shift, scaling).transpose(
                 0, 2, 1
             )
+            del R, shift, scaling  # free before the next group's factorization
     return SampletBasis(
         tree, moment_degree, carry_degree, transforms, offsets, groups, slot_row
     )
