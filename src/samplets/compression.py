@@ -23,7 +23,7 @@ import scipy.sparse
 from .construction import build_samplet_basis
 from .kernels import dense_kernel_matrix, kernel_matrix
 from .transform import CoefficientVector, transform_matrix_congruence
-from .tree import cluster_diam, cluster_dist
+from .tree import box_dist, cluster_diam, cluster_dist
 
 ENTRY_DROP = 1e-14  # relative magnitude below which stored entries are zeroed
 
@@ -80,7 +80,7 @@ class _InterpolationGrids:
         self.grids = [None] * n_clusters
         self.factor = [None] * n_clusters
 
-        span = max(cluster_diam(tree.root), 1.0)
+        span = max(tree.diam[tree.root.index], 1.0)
         for cluster in tree.postorder:
             half = 0.5 * (cluster.bbox_hi - cluster.bbox_lo)
             half = np.maximum(half, 1e-8 * span)
@@ -121,8 +121,6 @@ class PatternPair:
 class BlockPattern:
     pairs: list = field(default_factory=list)
     eta: float = 1.0
-    moment_degree: int = 0
-    interp_degree: int = 6
 
     def near_pairs(self):
         """The retained pairs; the pattern holds no other pairs."""
@@ -139,19 +137,12 @@ def _retained_pairs(tree, eta):
     pair only shrinks its boxes, so the children of a separated pair are
     separated too and are never visited.
     """
-    clusters = tree.clusters
-    lo = np.array([c.bbox_lo for c in clusters])
-    hi = np.array([c.bbox_hi for c in clusters])
-    diam = np.linalg.norm(hi - lo, axis=1)
-    children = np.full((len(clusters), 2), -1)
-    for c in clusters:
-        children[c.index, : len(c.children)] = [ch.index for ch in c.children]
+    lo, hi, diam, children = tree.lo, tree.hi, tree.diam, tree.children
     kept = []
     front = np.zeros((1, 2), dtype=int)
     while len(front):
         i, j = front.T
-        gap = np.maximum(np.maximum(lo[i] - hi[j], lo[j] - hi[i]), 0.0)
-        dist = np.linalg.norm(gap, axis=1)
+        dist = box_dist(lo[i], hi[i], lo[j], hi[j])
         # negation of is_admissible(a, b, eta) and dist > 0
         front = front[(dist < eta * np.maximum(diam[i], diam[j])) | (dist == 0.0)]
         kept.append(front)
@@ -160,14 +151,10 @@ def _retained_pairs(tree, eta):
             steps.append(np.column_stack([children[front[:, 0], k], front[:, 1]]))
             steps.append(np.column_stack([front[:, 0], children[front[:, 1], k]]))
         cand = np.sort(np.concatenate(steps), axis=1)
-        front = np.unique(cand[cand[:, 0] >= 0], axis=0)
+        cand = cand[cand[:, 0] >= 0]
+        _, first = np.unique(cand @ [len(lo), 1], return_index=True)  # row-major keys
+        front = cand[first]
     return kept
-
-
-def _slot_ranges(basis):
-    """(clusters, 2) array of each cluster's stored slot range; the ranges
-    tile 0..N in cluster (pre-order) order."""
-    return np.array([basis.stored_slots(c) for c in basis.tree.clusters])
 
 
 def _block_csr(basis, blocks, total):
@@ -178,7 +165,7 @@ def _block_csr(basis, blocks, total):
     row-major hstack of the blocks, written straight into place.  `total`
     is the number of stored entries.
     """
-    slots = _slot_ranges(basis)
+    slots = basis.slots
     index = np.int32 if total < 2**31 else np.int64
     data = np.empty(total)
     indices = np.empty(total, dtype=index)
@@ -223,7 +210,7 @@ class CompressedKernelMatrix:
         """Read-only (i, j) -> block mapping in ascending key order.  Each
         block is a view into the CSR data, so writing to it changes the
         operator."""
-        slots = _slot_ranges(self.basis)
+        slots = self.basis.slots
         widths = (slots[:, 1] - slots[:, 0]).tolist()
         owner = np.repeat(np.arange(len(slots)), widths)
         indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
@@ -326,14 +313,10 @@ def compress_assemble(
         deeper = current
     keys = sorted([*upper, *((j, i) for i, j in upper if i != j)])
     blocks = [(i, j, upper[(i, j)] if i <= j else upper[(j, i)].T) for i, j in keys]
-    retained = {(i, j) for front in levels for i, j in front.tolist()}
-    both = sorted(retained | {(j, i) for i, j in retained})
-    pattern = BlockPattern(
-        pairs=[PatternPair(i, j) for i, j in both],
-        eta=eta,
-        moment_degree=basis.moment_degree,
-        interp_degree=interp_degree,
-    )
+    retained = np.concatenate(levels)
+    both = np.concatenate([retained, retained[:, ::-1]])
+    _, first = np.unique(both @ [len(tree.clusters), 1], return_index=True)
+    pattern = BlockPattern([PatternPair(i, j) for i, j in both[first].tolist()], eta)
     csr = _block_csr(basis, blocks, sum(block.size for _, _, block in blocks))
     return CompressedKernelMatrix(basis, pattern, csr)
 
@@ -349,10 +332,7 @@ def add_compressed(
     csr = _block_csr(a.basis, blocks, sum(block.size for _, _, block in blocks))
     pairs = sorted({(p.row, p.col) for p in a.pattern.pairs + b.pattern.pairs})
     pattern = BlockPattern(
-        pairs=[PatternPair(i, j) for i, j in pairs],
-        eta=max(a.pattern.eta, b.pattern.eta),
-        moment_degree=a.pattern.moment_degree,
-        interp_degree=max(a.pattern.interp_degree, b.pattern.interp_degree),
+        [PatternPair(i, j) for i, j in pairs], max(a.pattern.eta, b.pattern.eta)
     )
     return CompressedKernelMatrix(a.basis, pattern, csr)
 
@@ -428,7 +408,7 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
         payload = os.fstat(fh.fileno()).st_size - _PREAMBLE - _BLOCK_HEADER * n_blocks
         if payload < 0 or payload % 8:
             raise ValueError("truncated compressed-matrix file")
-        slots = _slot_ranges(basis)
+        slots = basis.slots
         widths = slots[:, 1] - slots[:, 0]
         keys = []
 
@@ -449,7 +429,5 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 yield i, j, np.frombuffer(raw, dtype="<f8").reshape(nr, nc)
 
         csr = _block_csr(basis, read_blocks(), payload // 8)
-    pattern = BlockPattern(
-        pairs=[PatternPair(i, j) for i, j in keys], eta=eta, moment_degree=degree
-    )
+    pattern = BlockPattern([PatternPair(i, j) for i, j in keys], eta)
     return CompressedKernelMatrix(basis, pattern, csr)

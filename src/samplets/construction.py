@@ -16,7 +16,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .points import PointCloud
-from .tree import ClusterTree, build_cluster_tree, cluster_diam
+from .tree import ClusterTree, build_cluster_tree
 
 
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
@@ -234,10 +234,8 @@ def _triangular_factor(vt, tau):
 
 def local_frames(tree):
     """Center and half-diagonal scale (1 for a degenerate box) per cluster."""
-    lo = np.array([c.bbox_lo for c in tree.clusters])
-    hi = np.array([c.bbox_hi for c in tree.clusters])
-    scales = 0.5 * np.array([cluster_diam(c) for c in tree.clusters])
-    return 0.5 * (lo + hi), np.where(scales > 0.0, scales, 1.0)
+    scales = 0.5 * tree.diam
+    return 0.5 * (tree.lo + tree.hi), np.where(scales > 0.0, scales, 1.0)
 
 
 def dirac_moments(points, exponents, center, scale):
@@ -277,6 +275,11 @@ class SampletBasis:
     samplets with clusters in pre-order, samplets in QR column order.  The
     root's slots are therefore the contiguous leading block.
 
+    `samplet_offsets` and `samplet_counts` give each cluster's samplet slots
+    by pre-order id; `slots` (clusters x 2) holds the stored-slot ranges,
+    which tile 0..N in pre-order (the root's range also spans the scaling
+    slots).
+
     `groups` batches the transforms by level, deepest first, over a sweep
     buffer of `sweep_rows` rows: the scaling distributions of every non-root
     cluster (siblings adjacent, level by level), then the coefficient slots
@@ -295,6 +298,10 @@ class SampletBasis:
         self.slot_row = slot_row
         self.sweep_rows = slot_row + tree.n_points
         self.n_scaling = transforms[tree.root.index].n_scaling
+        ends = np.append(offsets[1:], tree.n_points)  # offsets tile in pre-order
+        self.samplet_counts = ends - offsets
+        self.slots = np.stack([offsets, ends], axis=1)
+        self.slots[tree.root.index, 0] = 0
 
     @property
     def n(self):
@@ -303,24 +310,17 @@ class SampletBasis:
     def samplet_slots(self, cluster):
         """Half-open slot range of the cluster's samplet coefficients."""
         off = self.samplet_offsets[cluster.index]
-        return off, off + self.transforms[cluster.index].n_samplets
+        return off, off + self.samplet_counts[cluster.index]
 
     def stored_slots(self, cluster):
         """Slot range a kernel block for this cluster covers; the root block
         also spans the scaling slots."""
-        lo, hi = self.samplet_slots(cluster)
-        if cluster is self.tree.root:
-            return 0, hi
-        return lo, hi
+        return tuple(self.slots[cluster.index])
 
     def samplet_levels(self):
         """Level of the cluster owning each slot; root scaling slots get -1."""
-        levels = np.empty(self.n, dtype=int)
-        levels[: self.n_scaling] = -1
-        for c in self.tree.clusters:
-            lo, hi = self.samplet_slots(c)
-            levels[lo:hi] = c.level
-        return levels
+        levels = np.repeat(self.tree.level, self.samplet_counts)
+        return np.concatenate([np.full(self.n_scaling, -1), levels])
 
 
 def default_leaf_size(moment_degree: int, dim: int) -> int:
@@ -346,16 +346,14 @@ def _level_groups(tree, n_scaling_cap):
     n_sc = np.minimum(n_in, n_scaling_cap)
     n_samplets = n_in - n_sc
     offsets = n_sc[root] + np.cumsum(n_samplets) - n_samplets  # pre-order
-    level = np.array([c.level for c in clusters])
-    is_leaf = np.array([c.is_leaf for c in clusters])
+    level = tree.level
+    is_leaf = tree.children[:, 0] < 0
     rest = np.lexsort((np.arange(len(clusters)), level))[1:]  # non-root, by level
     up = np.empty(len(clusters), dtype=int)
     up[rest] = np.cumsum(n_sc[rest]) - n_sc[rest]
     slot_row = int(n_sc[rest].sum())
     up[root] = slot_row  # the root's scaling distributions lead the slots
-    first = np.array(
-        [c.start if c.is_leaf else up[c.children[0].index] for c in clusters]
-    )
+    first = np.where(is_leaf, tree.start, up[tree.children[:, 0]])
     groups = []
     for lev in range(tree.depth, -1, -1):
         members = np.flatnonzero(level == lev)
@@ -404,10 +402,6 @@ def build_samplet_basis(
         tree, moment_count(moment_degree, tree.cloud.dim)
     )
     centers, scales = local_frames(tree)
-    parent = np.zeros(len(tree.clusters), dtype=int)
-    for c in tree.clusters:
-        for child in c.children:
-            parent[child.index] = c.index
 
     # moments of the scaling distributions in their parent's frame, by
     # sweep buffer row; leaves take the Diracs' moments in their own frame
@@ -424,7 +418,7 @@ def build_samplet_basis(
         for position, i in enumerate(g.index.tolist()):
             transforms[i] = ClusterTransform(g, position)
         if g.level > 0:
-            p = parent[g.index]
+            p = tree.parent[g.index]
             shift = moment_shift_matrix(
                 exponents,
                 scales[g.index] / scales[p],

@@ -65,31 +65,31 @@ class EnergyTree:
     def __init__(self, coeffs: CoefficientVector):
         basis = coeffs.basis
         tree = basis.tree
-        slots = coeffs.slots
         n_clusters = len(tree.clusters)
-        energy = np.zeros(n_clusters)
-        for cluster in tree.postorder:
-            lo, hi = basis.samplet_slots(cluster)
-            e = float(np.dot(slots[lo:hi], slots[lo:hi]))
-            for child in cluster.children:
-                e += energy[child.index]
-            energy[cluster.index] = e
-        energy[tree.root.index] += float(
-            np.dot(slots[: basis.n_scaling], slots[: basis.n_scaling])
-        )
+        widths = basis.slots[:, 1] - basis.slots[:, 0]
+        owner = np.repeat(np.arange(n_clusters), widths)
+        energy = np.bincount(owner, coeffs.slots**2, minlength=n_clusters)
+        inner = _inner_by_level(tree)
+        for p in reversed(inner):  # children before parents
+            energy[p] += energy[tree.children[p]].sum(axis=1)
         modified = np.zeros(n_clusters)
         modified[tree.root.index] = energy[tree.root.index]
-        for cluster in tree.clusters:  # pre-order: parents before children
-            if cluster.is_leaf:
-                continue
-            child_sum = sum(energy[c.index] for c in cluster.children)
-            denom = energy[cluster.index] + modified[cluster.index]
-            q = child_sum * modified[cluster.index] / denom if denom > 0 else 0.0
-            for child in cluster.children:
-                modified[child.index] = q
+        for p in inner:  # parents before children
+            child_sum = energy[tree.children[p]].sum(axis=1)
+            denom = energy[p] + modified[p]
+            q = np.divide(
+                child_sum * modified[p], denom, out=np.zeros_like(denom), where=denom > 0
+            )
+            modified[tree.children[p]] = q[:, None]
         self.basis = basis
         self.energy = energy
         self.modified = modified
+
+
+def _inner_by_level(tree):
+    """Pre-order ids of the non-leaf clusters of each level, root level first."""
+    inner = tree.children[:, 0] >= 0
+    return [np.flatnonzero(inner & (tree.level == lev)) for lev in range(tree.depth)]
 
 
 class CoarsenedTree:
@@ -130,12 +130,9 @@ class CoarsenedTree:
         """Keep only coefficients owned by subtree clusters (plus the coarse
         scaling block)."""
         basis = self.basis
-        slots = np.zeros_like(coeffs.slots)
-        slots[: basis.n_scaling] = coeffs.slots[: basis.n_scaling]
-        for c in self.clusters():
-            lo, hi = basis.samplet_slots(c)
-            slots[lo:hi] = coeffs.slots[lo:hi]
-        return CoefficientVector(slots, basis)
+        widths = basis.slots[:, 1] - basis.slots[:, 0]
+        keep = np.repeat(self.included, widths)  # the root is always included
+        return CoefficientVector(np.where(keep, coeffs.slots, 0.0), basis)
 
 
 def coarsen_tree(coeffs: CoefficientVector, epsilon: float) -> CoarsenedTree:
@@ -153,12 +150,10 @@ def coarsen_tree(coeffs: CoefficientVector, epsilon: float) -> CoarsenedTree:
     w = epsilon**2 * et.energy[tree.root.index]
     included = np.zeros(len(tree.clusters), dtype=bool)
     included[tree.root.index] = True
-    for cluster in tree.clusters:  # pre-order
-        if not included[cluster.index] or cluster.is_leaf:
-            continue
-        if et.modified[cluster.children[0].index] >= w:
-            for child in cluster.children:
-                included[child.index] = True
+    for p in _inner_by_level(tree):  # parents before children
+        children = tree.children[p]
+        refine = included[p] & (et.modified[children[:, 0]] >= w)
+        included[children[refine]] = True
     return CoarsenedTree(basis, included, w)
 
 

@@ -47,7 +47,11 @@ class ClusterTree:
     `permutation[t]` is the original index of the point at tree position t.
     `clusters` lists all clusters in pre-order (root first); `postorder`
     lists children before parents, which is the sweep order for bottom-up
-    algorithms.
+    algorithms.  The per-cluster arrays, indexed by pre-order id, are the
+    one source of cluster geometry and topology: bounding boxes `lo`, `hi`
+    (clusters x dim), diameters `diam` (from `cluster_diam`), `level`,
+    `start`, `parent` (-1 for the root) and `children` (clusters x 2, -1 for
+    a leaf).
     """
 
     def __init__(self, cloud, root, permutation, leaf_size):
@@ -63,19 +67,24 @@ class ClusterTree:
             c.index = len(self.clusters)
             self.clusters.append(c)
             stack.extend(reversed(c.children))
-        self.depth = max(c.level for c in self.clusters)
+        clusters = self.clusters
+        self.postorder = sorted(clusters, key=lambda c: -c.level)
+        self.lo = np.array([c.bbox_lo for c in clusters])
+        self.hi = np.array([c.bbox_hi for c in clusters])
+        self.diam = np.array([cluster_diam(c) for c in clusters])
+        self.level = np.array([c.level for c in clusters])
+        self.start = np.array([c.start for c in clusters])
+        self.children = np.full((len(clusters), 2), -1)
+        for c in clusters:
+            self.children[c.index, : len(c.children)] = [ch.index for ch in c.children]
+        inner = np.flatnonzero(self.children[:, 0] >= 0)
+        self.parent = np.full(len(clusters), -1)
+        self.parent[self.children[inner]] = inner[:, None]
+        self.depth = int(self.level.max())
 
     @property
     def n_points(self):
         return len(self.cloud)
-
-    @property
-    def postorder(self):
-        order = getattr(self, "_postorder", None)
-        if order is None:
-            order = sorted(self.clusters, key=lambda c: -c.level)
-            self._postorder = order
-        return order
 
     @property
     def leaves(self):
@@ -153,8 +162,13 @@ def cluster_diam(c: Cluster) -> float:
     return float(np.linalg.norm(c.bbox_hi - c.bbox_lo))
 
 
+def box_dist(lo_a, hi_a, lo_b, hi_b):
+    """Euclidean distance between boxes (0 if they overlap), over the last
+    axis, so a stack of box pairs gives each pair's `cluster_dist` exactly."""
+    gap = np.maximum(np.maximum(lo_a - hi_b, lo_b - hi_a), 0.0)
+    return np.sqrt(np.sum(gap * gap, axis=-1))
+
+
 def cluster_dist(a: Cluster, b: Cluster) -> float:
     """Euclidean distance between the two bounding boxes (0 if they overlap)."""
-    gap = np.maximum(a.bbox_lo - b.bbox_hi, b.bbox_lo - a.bbox_hi)
-    gap = np.maximum(gap, 0.0)
-    return float(np.linalg.norm(gap))
+    return float(box_dist(a.bbox_lo, a.bbox_hi, b.bbox_lo, b.bbox_hi))

@@ -124,9 +124,21 @@ def test_matvec_within_certified_error(setup256):
         comp.matvec(np.zeros(255))
 
 
-def test_pattern_transitivity(setup256):
-    cloud, spec, basis, dense = setup256
-    comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
+@pytest.mark.parametrize(
+    "seed, leaf_size, eta",
+    [
+        pytest.param(40, None, 1.25, id="seed40"),
+        # pairs (4, 8) and (3, 62) lie at the separation boundary: their
+        # verdicts turn on the last bit of the diameters and of the box
+        # distance, which must be those is_admissible uses
+        pytest.param(3, 8, 0.023861989782524552, id="diam-boundary"),
+        pytest.param(0, 8, 0.9008818250785962, id="dist-boundary"),
+    ],
+)
+def test_pattern_transitivity(seed, leaf_size, eta):
+    cloud = PointCloud(np.random.default_rng(seed).random((256, 2)))
+    basis = build_basis(cloud, 3, leaf_size=leaf_size)
+    comp = compress_assemble(basis, Matern(0.5, 0.1), eta=eta, interp_degree=4)
     clusters = basis.tree.clusters
     parent = {}
     for c in clusters:
@@ -135,7 +147,7 @@ def test_pattern_transitivity(setup256):
 
     def admissible_pair(i, j):
         return (
-            is_admissible(clusters[i], clusters[j], 1.25)
+            is_admissible(clusters[i], clusters[j], eta)
             and cluster_dist(clusters[i], clusters[j]) > 0
         )
 

@@ -139,8 +139,13 @@ def test_support_locality():
     rng = np.random.default_rng(6)
     basis = build_basis(rng.random((96, 2)), 1)
     T = assemble_dense_transform(basis)
+    levels = basis.samplet_levels()
+    assert np.all(levels[: basis.n_scaling] == -1)
     for c in basis.tree.clusters:
         lo, hi = basis.samplet_slots(c)
+        assert hi - lo == basis.transforms[c.index].n_samplets
+        assert np.all(levels[lo:hi] == c.level)
+        assert basis.stored_slots(c) == (0 if c is basis.tree.root else lo, hi)
         inside = basis.tree.original_indices(c)
         outside = np.setdiff1d(np.arange(96), inside)
         if hi > lo and outside.size:

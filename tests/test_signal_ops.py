@@ -76,6 +76,45 @@ def test_jump_signal_concentrates_surviving_coefficients():
                 break
 
 
+def _reference_energies(coeffs):
+    """Subtree and modified energies, one cluster at a time."""
+    basis = coeffs.basis
+    tree = basis.tree
+    slots = coeffs.slots
+    energy = np.zeros(len(tree.clusters))
+    for cluster in tree.postorder:
+        lo, hi = basis.samplet_slots(cluster)
+        e = float(np.dot(slots[lo:hi], slots[lo:hi]))
+        for child in cluster.children:
+            e += energy[child.index]
+        energy[cluster.index] = e
+    scaling = slots[: basis.n_scaling]
+    energy[tree.root.index] += float(np.dot(scaling, scaling))
+    modified = np.zeros(len(tree.clusters))
+    modified[tree.root.index] = energy[tree.root.index]
+    for cluster in tree.clusters:  # pre-order: parents before children
+        if cluster.is_leaf:
+            continue
+        child_sum = sum(energy[c.index] for c in cluster.children)
+        denom = energy[cluster.index] + modified[cluster.index]
+        q = child_sum * modified[cluster.index] / denom if denom > 0 else 0.0
+        for child in cluster.children:
+            modified[child.index] = q
+    return energy, modified
+
+
+def _reference_included(tree, energy, modified, epsilon):
+    w = epsilon**2 * energy[tree.root.index]
+    included = np.zeros(len(tree.clusters), dtype=bool)
+    included[tree.root.index] = True
+    for cluster in tree.clusters:  # pre-order
+        if included[cluster.index] and not cluster.is_leaf:
+            if modified[cluster.children[0].index] >= w:
+                for child in cluster.children:
+                    included[child.index] = True
+    return included
+
+
 def test_energy_accounting():
     rng = np.random.default_rng(22)
     basis = build_basis(rng.random((128, 2)), 1)
@@ -88,6 +127,30 @@ def test_energy_accounting():
     for c in basis.tree.clusters:
         child_sum = sum(et.energy[ch.index] for ch in c.children)
         assert et.energy[c.index] >= child_sum - 1e-12
+    # the level-wise array passes against the per-cluster recursions, on
+    # rough and smooth data (tiny fine-level energies) and sites with ties
+    dup = np.repeat(rng.random((100, 3)), 3, axis=0)
+    cases = [(basis, coeffs.slots)]
+    for pts in (rng.random((400, 2)), dup):
+        b = build_basis(pts, 2)
+        cases.append((b, forward_transform(b, np.exp(pts.sum(axis=1))).slots))
+    for b, slots in cases:
+        c = CoefficientVector(slots, b)
+        et = EnergyTree(c)
+        energy, modified = _reference_energies(c)
+        np.testing.assert_allclose(et.energy, energy, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(et.modified, modified, rtol=1e-14, atol=0)
+        for eps in (1e-1, 1e-3, 1e-6):
+            sub = coarsen_tree(c, eps)
+            np.testing.assert_array_equal(
+                sub.included, _reference_included(b.tree, energy, modified, eps)
+            )
+            kept = np.zeros_like(slots)
+            kept[: b.n_scaling] = slots[: b.n_scaling]
+            for cluster in sub.clusters():
+                lo, hi = b.samplet_slots(cluster)
+                kept[lo:hi] = slots[lo:hi]
+            np.testing.assert_array_equal(sub.restrict(c).slots, kept)
 
 
 def test_coarsen_constant_data_keeps_root_only():

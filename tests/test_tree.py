@@ -118,3 +118,32 @@ def test_longest_axis_tie_uses_lowest_axis():
     left = tree.root.children[0]
     # split along axis 0: left child holds the two smallest x0 values
     assert sorted(pts[i][0] for i in tree.original_indices(left)) == [0.0, 0.25]
+
+
+def _array_clouds():
+    rng = np.random.default_rng(5)
+    yield rng.random((1, 2)), 4
+    yield np.repeat(rng.random((30, 2)), 4, axis=0), 5
+    for dim in range(1, 5):
+        yield rng.random((150 + 17 * dim, dim)), 6
+
+
+@pytest.mark.parametrize("pts, leaf_size", list(_array_clouds()))
+def test_cluster_arrays_match_clusters(pts, leaf_size):
+    tree = build_cluster_tree(PointCloud(pts), leaf_size)
+    for c in tree.clusters:
+        i = c.index
+        assert tree.level[i] == c.level and tree.start[i] == c.start
+        np.testing.assert_array_equal(tree.lo[i], c.bbox_lo)
+        np.testing.assert_array_equal(tree.hi[i], c.bbox_hi)
+        assert tree.diam[i] == cluster_diam(c)
+        kids = [ch.index for ch in c.children]
+        assert tree.children[i].tolist() == (kids or [-1, -1])
+        for k in kids:
+            assert tree.parent[k] == i
+    assert tree.parent[tree.root.index] == -1
+    position = {c.index: k for k, c in enumerate(tree.postorder)}
+    assert sorted(position) == list(range(len(tree.clusters)))
+    for c in tree.clusters:
+        for ch in c.children:
+            assert position[ch.index] < position[c.index]
