@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 2 input error, 3 solver non-convergence.  All runs
 echo their effective parameters to stderr for reproducibility; outputs are
-deterministic for identical RunSpec + seed (worker count does not change
-results, numeric kernels run through BLAS either way).
+deterministic for identical RunSpec + seed.
 """
 
 from __future__ import annotations

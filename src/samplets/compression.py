@@ -10,10 +10,9 @@ the assembled operator is exactly symmetric.
 
 from __future__ import annotations
 
-import itertools
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
@@ -70,74 +69,60 @@ class _InterpolationGrids:
     """
 
     def __init__(self, basis, degree):
-        self.degree = degree
         tree = basis.tree
         dim = tree.cloud.dim
-        n1 = degree + 1
-        cheb, bary = _chebyshev_axis(n1)
-        n_clusters = len(tree.clusters)
-        self.axis_nodes = [None] * n_clusters
-        self.grids = [None] * n_clusters
-        self.factor = [None] * n_clusters
-
-        span = max(tree.diam[tree.root.index], 1.0)
-        for cluster in tree.postorder:
-            half = 0.5 * (cluster.bbox_hi - cluster.bbox_lo)
-            half = np.maximum(half, 1e-8 * span)
-            mid = 0.5 * (cluster.bbox_hi + cluster.bbox_lo)
-            axes = [mid[a] + half[a] * cheb for a in range(dim)]
-            self.axis_nodes[cluster.index] = axes
-            mesh = np.meshgrid(*axes, indexing="ij")
-            self.grids[cluster.index] = np.stack([m.ravel() for m in mesh], axis=1)
-
-            q = basis.transforms[cluster.index].q
-            if cluster.is_leaf:
-                pts = tree.cluster_points(cluster)
-                ev = np.ones((cluster.size, 1))
+        cheb, bary = _chebyshev_axis(degree + 1)
+        span = max(tree.diam[0], 1.0)  # the root's, pre-order id 0
+        half = np.maximum(0.5 * (tree.hi - tree.lo), 1e-8 * span)
+        mid = 0.5 * (tree.hi + tree.lo)
+        axes = mid[:, :, None] + half[:, :, None] * cheb  # clusters x dim x nodes
+        mesh = np.indices((degree + 1,) * dim).reshape(dim, -1)
+        self.grids = np.stack([axes[:, a, mesh[a]] for a in range(dim)], axis=2)
+        self.factor = [None] * len(axes)
+        children = tree.children.tolist()
+        for i in np.argsort(-tree.level, kind="stable").tolist():  # children first
+            q = basis.transforms[i].q
+            if children[i][0] < 0:
+                pts = tree.points[tree.start[i] : tree.start[i] + len(q)]
+                ev = np.ones((len(q), 1))
                 for a in range(dim):
-                    loc = (pts[:, a] - mid[a]) / half[a]
+                    loc = (pts[:, a] - mid[i, a]) / half[i, a]
                     ax_ev = _barycentric_eval(cheb, bary, loc)
-                    ev = (ev[:, :, None] * ax_ev[:, None, :]).reshape(cluster.size, -1)
-                self.factor[cluster.index] = ev.T @ q
+                    ev = (ev[:, :, None] * ax_ev[:, None, :]).reshape(len(q), -1)
+                self.factor[i] = ev.T @ q
             else:
                 carriers = []
-                for child in cluster.children:
+                for c in children[i]:
                     E = np.ones((1, 1))
                     for a in range(dim):
-                        child_loc = (self.axis_nodes[child.index][a] - mid[a]) / half[a]
+                        child_loc = (axes[c, a] - mid[i, a]) / half[i, a]
                         E = np.kron(E, _barycentric_eval(cheb, bary, child_loc))
-                    n_sc = basis.transforms[child.index].n_scaling
-                    carriers.append(E.T @ self.factor[child.index][:, :n_sc])
-                self.factor[cluster.index] = np.hstack(carriers) @ q
-
-
-@dataclass
-class PatternPair:
-    row: int
-    col: int
+                    n_sc = basis.transforms[c].n_scaling
+                    carriers.append(E.T @ self.factor[c][:, :n_sc])
+                self.factor[i] = np.hstack(carriers) @ q
 
 
 @dataclass
 class BlockPattern:
-    pairs: list = field(default_factory=list)
-    eta: float = 1.0
+    """Retained cluster pairs of both triangles, an (m, 2) array in
+    ascending (row, col) order, and the separation parameter eta."""
 
-    def near_pairs(self):
-        """The retained pairs; the pattern holds no other pairs."""
-        return list(self.pairs)
+    pairs: np.ndarray
+    eta: float
 
 
-def _retained_pairs(tree, eta):
-    """Cluster pairs i <= j failing the separation test, as one (m, 2) array
-    per total level, root pair first.
+def _pattern(tree, eta):
+    """All cluster pairs failing the separation test, as a BlockPattern.
 
-    Enumerated from (root, root) one total level (level of i plus level of
-    j) at a time: the one-sided child pairs of every retained pair form the
-    next frontier, which is deduplicated and tested as one array.  Refining a
-    pair only shrinks its boxes, so the children of a separated pair are
-    separated too and are never visited.
+    Pairs i <= j are enumerated from (root, root) one total level (level of
+    i plus level of j) at a time: the one-sided child pairs of every
+    retained pair form the next frontier, which is deduplicated and tested
+    as one array.  Refining a pair only shrinks its boxes, so the children
+    of a separated pair are separated too and are never visited.  Retained
+    sets therefore only grow with eta.  The mirrors complete the pattern.
     """
     lo, hi, diam, children = tree.lo, tree.hi, tree.diam, tree.children
+    n = len(lo)
     kept = []
     front = np.zeros((1, 2), dtype=int)
     while len(front):
@@ -152,77 +137,93 @@ def _retained_pairs(tree, eta):
             steps.append(np.column_stack([front[:, 0], children[front[:, 1], k]]))
         cand = np.sort(np.concatenate(steps), axis=1)
         cand = cand[cand[:, 0] >= 0]
-        _, first = np.unique(cand @ [len(lo), 1], return_index=True)  # row-major keys
+        _, first = np.unique(cand @ [n, 1], return_index=True)  # row-major keys
         front = cand[first]
-    return kept
+    upper = np.concatenate(kept)
+    keys = np.unique(np.concatenate([upper @ [n, 1], upper @ [1, n]]))
+    return BlockPattern(np.stack(np.divmod(keys, n), axis=1), eta)
 
 
-def _block_csr(basis, blocks, total):
-    """CSR operator from (i, j, block) triples in ascending (i, j) order.
+class _Layout:
+    """Where each stored block of a pattern lives in the CSR arrays.
 
-    The blocks of row cluster i cover ascending, disjoint column ranges, so
-    all rows of i share one column pattern and their entries are the
-    row-major hstack of the blocks, written straight into place.  `total`
-    is the number of stored entries.
+    The stored blocks `keys` are the pattern's pairs whose clusters both own
+    slots, in ascending (row, col) order.  All rows of row cluster i share
+    one column pattern, the ascending slot ranges of its blocks, so they
+    hold a row-major (width[i], row length) array of the data from
+    `base[i]` on, and block (i, j) takes width[j] of its columns from its
+    column offset on.  `rows` holds, per row cluster with stored blocks, its
+    id, its column clusters and their offsets, as Python ints.
     """
-    slots = basis.slots
-    index = np.int32 if total < 2**31 else np.int64
-    data = np.empty(total)
-    indices = np.empty(total, dtype=index)
-    row_len = np.zeros(basis.n + 1, dtype=index)
-    pos = 0
-    for i, group in itertools.groupby(blocks, key=lambda t: t[0]):
-        group = list(group)
-        r0, r1 = slots[i]
-        lo, hi = slots[[j for _, j, _ in group]].T
-        width = hi - lo
-        # concatenated column ranges lo[k]:hi[k] of the row's blocks
-        cols = np.arange(width.sum()) + np.repeat(lo - np.cumsum(width) + width, width)
-        end = pos + (r1 - r0) * cols.size
-        rows = data[pos:end].reshape(r1 - r0, cols.size)
-        np.concatenate([b for _, _, b in group], axis=1, out=rows)
-        indices[pos:end].reshape(rows.shape)[...] = cols
-        row_len[r0 + 1 : r1 + 1] = cols.size
-        pos = end
-    if pos != total:
-        raise ValueError(f"{pos} stored entries, expected {total}")
-    indptr = np.cumsum(row_len, dtype=index)
-    return scipy.sparse.csr_array((data, indices, indptr), shape=(basis.n, basis.n))
+
+    def __init__(self, basis, pattern):
+        slots = basis.slots
+        width = slots[:, 1] - slots[:, 0]
+        pairs = pattern.pairs
+        keys = pairs[(width[pairs[:, 0]] > 0) & (width[pairs[:, 1]] > 0)]
+        row, col = keys.T
+        first = np.searchsorted(row, np.arange(len(slots) + 1))  # row i's keys
+        ends = np.append(0, np.cumsum(width[col]))
+        row_len = ends[first[1:]] - ends[first[:-1]]
+        base = np.append(0, np.cumsum(width * row_len))
+        index = np.int32 if base[-1] < 2**31 else np.int64
+        self.pattern = pattern
+        self.keys = keys
+        self.width = width.tolist()
+        self.base = base.tolist()
+        self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
+        self.indices = np.empty(base[-1], dtype=index)
+        cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
+        offset = ends[:-1] - ends[first[row]]
+        self.rows = []
+        for i in np.flatnonzero(width * row_len).tolist():
+            k0, k1 = first[i], first[i + 1]
+            self.row(self.indices, i)[...] = cols[ends[k0] : ends[k1]]
+            self.rows.append((i, col[k0:k1].tolist(), offset[k0:k1].tolist()))
+
+    def row(self, data, i):
+        """Row cluster i's part of a CSR array, a (width[i], row length) view."""
+        return data[self.base[i] : self.base[i + 1]].reshape(self.width[i], -1)
+
+    def fill(self, blocks_of):
+        """CSR data from `blocks_of(i, cols)`, the blocks of row cluster i
+        with column clusters `cols`, one row cluster at a time."""
+        data = np.empty(len(self.indices))
+        for i, cols, _ in self.rows:
+            np.concatenate(blocks_of(i, cols), axis=1, out=self.row(data, i))
+        return data
 
 
 class CompressedKernelMatrix:
     """Samplet-coordinate kernel matrix restricted to the retained pattern.
 
-    `csr` holds every stored entry, explicit zeros included: block (i, j)
-    covers the stored slots of cluster pairs (i, j) (the root block also
-    covers the coarse scaling slots), and `blocks` views it per pair.
-    Symmetric kernels give a symmetric pattern with transposed mirror blocks.
+    `csr` holds every stored entry, explicit zeros included, where `layout`
+    places it: block (i, j) covers the stored slots of cluster pairs (i, j)
+    (the root block also covers the coarse scaling slots), and `blocks`
+    views it per pair.  Symmetric kernels give a symmetric pattern with
+    transposed mirror blocks.
     """
 
-    def __init__(self, basis, pattern, csr):
+    def __init__(self, basis, layout, data):
         self.basis = basis
-        self.pattern = pattern
-        self.csr = csr
+        self.layout = layout
+        self.pattern = layout.pattern
         self.n = basis.n
+        self.csr = scipy.sparse.csr_array(
+            (data, layout.indices, layout.indptr), shape=(self.n, self.n)
+        )
 
     @cached_property
     def blocks(self):
         """Read-only (i, j) -> block mapping in ascending key order.  Each
         block is a view into the CSR data, so writing to it changes the
         operator."""
-        slots = self.basis.slots
-        widths = (slots[:, 1] - slots[:, 0]).tolist()
-        owner = np.repeat(np.arange(len(slots)), widths)
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        layout, data = self.layout, self.csr.data
         views = {}
-        for i, (r0, r1) in enumerate(slots):
-            if r0 < r1:
-                p0, p1 = indptr[r0], indptr[r0 + 1]
-                rows = data[p0 : p0 + (r1 - r0) * (p1 - p0)].reshape(r1 - r0, -1)
-                col_owner = owner[indices[p0:p1]]
-                for s in np.flatnonzero(np.diff(col_owner, prepend=-1)).tolist():
-                    j = int(col_owner[s])
-                    views[(i, j)] = rows[:, s : s + widths[j]]
+        for i, cols, offsets in layout.rows:
+            rows = layout.row(data, i)
+            for j, o in zip(cols, offsets):
+                views[(i, j)] = rows[:, o : o + layout.width[j]]
         return MappingProxyType(views)
 
     @property
@@ -267,12 +268,14 @@ def compress_assemble(
     if eta <= 0:
         raise ValueError("eta must be positive")
     tree = basis.tree
-    levels = _retained_pairs(tree, eta)
+    pattern = _pattern(tree, eta)
     grids = _InterpolationGrids(basis, interp_degree)
     q = [t.q for t in basis.transforms]
     n_scaling = [t.n_scaling for t in basis.transforms]
     keep = n_scaling.copy()
-    keep[tree.root.index] = 0
+    keep[0] = 0  # the root's block also covers its scaling slots
+    children, level = tree.children.tolist(), tree.level.tolist()
+    start = tree.start.tolist()
     upper, deeper = {}, {}
 
     def child(i, j):
@@ -287,19 +290,23 @@ def compress_assemble(
             deeper[key] = block
         return block if i <= j else block.T
 
-    # deepest level first, so each level needs only the blocks of the next
-    for front in reversed(levels):
+    # pairs i <= j by total level (level of i plus level of j), deepest
+    # first, so each level needs only the blocks of the next
+    pairs = pattern.pairs[pattern.pairs[:, 0] <= pattern.pairs[:, 1]]
+    total = tree.level[pairs].sum(axis=1)
+    for lev in range(2 * tree.depth, -1, -1):
         current = {}
-        for i, j in front.tolist():
-            a, b = tree.clusters[i], tree.clusters[j]
-            if a.is_leaf and b.is_leaf:
-                pa, pb = tree.cluster_points(a), tree.cluster_points(b)
+        for i, j in pairs[total == lev].tolist():
+            leaf_i, leaf_j = children[i][0] < 0, children[j][0] < 0
+            if leaf_i and leaf_j:
+                pa = tree.points[start[i] : start[i] + len(q[i])]
+                pb = tree.points[start[j] : start[j] + len(q[j])]
                 block = q[i].T @ kernel_matrix(spec, pa, pb) @ q[j]
-            elif not a.is_leaf and (a.level <= b.level or b.is_leaf):
-                rows = [child(c.index, j)[: n_scaling[c.index]] for c in a.children]
+            elif not leaf_i and (level[i] <= level[j] or leaf_j):
+                rows = [child(c, j)[: n_scaling[c]] for c in children[i]]
                 block = q[i].T @ np.vstack(rows)
             else:
-                cols = [child(i, c.index)[:, : n_scaling[c.index]] for c in b.children]
+                cols = [child(i, c)[:, : n_scaling[c]] for c in children[j]]
                 block = np.hstack(cols) @ q[j]
             if i == j:
                 block = 0.5 * (block + block.T)
@@ -311,30 +318,26 @@ def compress_assemble(
                 stored[mag < ENTRY_DROP * mag.max()] = 0.0
                 upper[(i, j)] = stored
         deeper = current
-    keys = sorted([*upper, *((j, i) for i, j in upper if i != j)])
-    blocks = [(i, j, upper[(i, j)] if i <= j else upper[(j, i)].T) for i, j in keys]
-    retained = np.concatenate(levels)
-    both = np.concatenate([retained, retained[:, ::-1]])
-    _, first = np.unique(both @ [len(tree.clusters), 1], return_index=True)
-    pattern = BlockPattern([PatternPair(i, j) for i, j in both[first].tolist()], eta)
-    csr = _block_csr(basis, blocks, sum(block.size for _, _, block in blocks))
-    return CompressedKernelMatrix(basis, pattern, csr)
+    layout = _Layout(basis, pattern)
+    data = layout.fill(
+        lambda i, cols: [upper[(i, j)] if i <= j else upper[(j, i)].T for j in cols]
+    )
+    return CompressedKernelMatrix(basis, layout, data)
 
 
 def add_compressed(
     a: CompressedKernelMatrix, b: CompressedKernelMatrix
 ) -> CompressedKernelMatrix:
-    """Blockwise sum on the union pattern; both operands must share a basis."""
+    """Blockwise sum; both operands must share a basis.  The pattern of the
+    larger eta holds both operands' patterns, so it is their union."""
     if a.basis is not b.basis:
         raise ValueError("basis mismatch: operands built over different bases")
-    keys = sorted({*a.blocks, *b.blocks})
-    blocks = [(*k, a.blocks.get(k, 0) + b.blocks.get(k, 0)) for k in keys]
-    csr = _block_csr(a.basis, blocks, sum(block.size for _, _, block in blocks))
-    pairs = sorted({(p.row, p.col) for p in a.pattern.pairs + b.pattern.pairs})
-    pattern = BlockPattern(
-        [PatternPair(i, j) for i, j in pairs], max(a.pattern.eta, b.pattern.eta)
+    layout = _Layout(a.basis, _pattern(a.basis.tree, max(a.pattern.eta, b.pattern.eta)))
+    data = layout.fill(
+        lambda i, cols: [a.blocks.get((i, j), 0) + b.blocks.get((i, j), 0)
+                         for j in cols]
     )
-    return CompressedKernelMatrix(a.basis, pattern, csr)
+    return CompressedKernelMatrix(a.basis, layout, data)
 
 
 @dataclass
@@ -392,7 +395,9 @@ def save_compressed(m: CompressedKernelMatrix, path):
 
 
 def load_compressed(path, basis) -> CompressedKernelMatrix:
-    """Read a matrix container; the basis must match the stored N and degree."""
+    """Read a matrix container.  The basis must match the stored N and
+    degree, and the blocks must be exactly the stored pairs of the pattern
+    that the stored eta gives on the basis's tree."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -405,29 +410,33 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 f"container (N={n}, degree={degree}) does not match basis "
                 f"(N={basis.n}, degree={basis.moment_degree})"
             )
-        payload = os.fstat(fh.fileno()).st_size - _PREAMBLE - _BLOCK_HEADER * n_blocks
-        if payload < 0 or payload % 8:
-            raise ValueError("truncated compressed-matrix file")
-        slots = basis.slots
-        widths = slots[:, 1] - slots[:, 0]
-        keys = []
-
-        def read_blocks():
-            for _ in range(n_blocks):
-                i, j, nr, nc = struct.unpack("<QQQQ", fh.read(_BLOCK_HEADER))
-                if keys and (i, j) <= keys[-1]:
-                    raise ValueError(f"block ({i}, {j}) out of ascending order")
-                if max(i, j) >= len(slots) or (nr, nc) != (widths[i], widths[j]):
-                    raise ValueError(
-                        f"block ({i}, {j}) of shape ({nr}, {nc}) does not match "
-                        "the basis"
-                    )
-                keys.append((i, j))
-                raw = fh.read(8 * nr * nc)
-                if len(raw) != 8 * nr * nc:
-                    raise ValueError("truncated compressed-matrix file")
-                yield i, j, np.frombuffer(raw, dtype="<f8").reshape(nr, nc)
-
-        csr = _block_csr(basis, read_blocks(), payload // 8)
-    pattern = BlockPattern([PatternPair(i, j) for i, j in keys], eta)
-    return CompressedKernelMatrix(basis, pattern, csr)
+        layout = _Layout(basis, _pattern(basis.tree, eta))
+        stored = len(layout.keys)
+        size = os.fstat(fh.fileno()).st_size
+        expected = _PREAMBLE + _BLOCK_HEADER * stored + 8 * len(layout.indices)
+        if (n_blocks, size) != (stored, expected):
+            raise ValueError(
+                f"{n_blocks} blocks in {size} bytes: the file is truncated or does "
+                f"not match the {stored} blocks in {expected} bytes of eta={eta} "
+                "on this basis"
+            )
+        width = basis.slots[:, 1] - basis.slots[:, 0]
+        data = np.empty(len(layout.indices))
+        for i, cols, offsets in layout.rows:
+            w = width[cols]
+            entries = width[i] * w
+            words = np.frombuffer(fh.read(8 * (4 + entries).sum()), "<u8")
+            start = np.cumsum(4 + entries) - entries  # each block's first entry
+            got = words[start[:, None] + np.arange(-4, 0)]
+            want = np.stack([np.full_like(w, i), cols, np.full_like(w, width[i]), w], 1)
+            if (got != want).any():
+                k = np.flatnonzero((got != want).any(axis=1))[0]
+                raise ValueError(
+                    f"block (row, col, rows, cols) = {tuple(got[k].tolist())} does "
+                    f"not match the basis, which gives {tuple(want[k].tolist())}"
+                )
+            # slab entry (r, s) is word start + r * w + s - offset of its block
+            at = np.repeat(start - offsets, w) + np.arange(w.sum())
+            at = at + np.arange(width[i])[:, None] * np.repeat(w, w)
+            layout.row(data, i)[...] = words.view("<f8")[at]
+    return CompressedKernelMatrix(basis, layout, data)

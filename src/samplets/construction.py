@@ -336,24 +336,24 @@ def _level_groups(tree, n_scaling_cap):
     incoming distributions, an interior cluster its children's scaling
     distributions, and every cluster keeps min(cap, n_in) of them.
     """
-    clusters = tree.clusters
     root = tree.root.index
-    n_in = np.empty(len(clusters), dtype=int)
-    for c in tree.postorder:
-        n_in[c.index] = c.size if c.is_leaf else sum(
-            min(n_in[ch.index], n_scaling_cap) for ch in c.children
-        )
+    level, children = tree.level, tree.children
+    is_leaf = children[:, 0] < 0
+    n_in = np.empty(len(level), dtype=int)
+    leaves = np.flatnonzero(is_leaf)  # they tile the points in pre-order
+    n_in[leaves] = np.diff(tree.start[leaves], append=tree.n_points)
+    for lev in range(tree.depth - 1, -1, -1):
+        inner = np.flatnonzero(~is_leaf & (level == lev))
+        n_in[inner] = np.minimum(n_in[children[inner]], n_scaling_cap).sum(axis=1)
     n_sc = np.minimum(n_in, n_scaling_cap)
     n_samplets = n_in - n_sc
     offsets = n_sc[root] + np.cumsum(n_samplets) - n_samplets  # pre-order
-    level = tree.level
-    is_leaf = tree.children[:, 0] < 0
-    rest = np.lexsort((np.arange(len(clusters)), level))[1:]  # non-root, by level
-    up = np.empty(len(clusters), dtype=int)
+    rest = np.lexsort((np.arange(len(level)), level))[1:]  # non-root, by level
+    up = np.empty(len(level), dtype=int)
     up[rest] = np.cumsum(n_sc[rest]) - n_sc[rest]
     slot_row = int(n_sc[rest].sum())
     up[root] = slot_row  # the root's scaling distributions lead the slots
-    first = np.where(is_leaf, tree.start, up[tree.children[:, 0]])
+    first = np.where(is_leaf, tree.start, up[children[:, 0]])
     groups = []
     for lev in range(tree.depth, -1, -1):
         members = np.flatnonzero(level == lev)

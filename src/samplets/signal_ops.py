@@ -103,13 +103,9 @@ class CoarsenedTree:
         self.basis = basis
         self.included = included
         self.threshold = threshold
-        tree = basis.tree
-        self.leaves = [
-            c
-            for c in tree.clusters
-            if included[c.index]
-            and (c.is_leaf or not included[c.children[0].index])
-        ]
+        clusters, first = basis.tree.clusters, basis.tree.children[:, 0]
+        self._refined = included & (first >= 0) & included[first]
+        self.leaves = [clusters[i] for i in np.flatnonzero(included & ~self._refined)]
 
     @property
     def n_leaves(self):
@@ -120,11 +116,7 @@ class CoarsenedTree:
 
     def refined(self):
         """Included clusters whose children are included as well."""
-        return [
-            c
-            for c in self.clusters()
-            if not c.is_leaf and self.included[c.children[0].index]
-        ]
+        return [self.basis.tree.clusters[i] for i in np.flatnonzero(self._refined)]
 
     def restrict(self, coeffs: CoefficientVector) -> CoefficientVector:
         """Keep only coefficients owned by subtree clusters (plus the coarse

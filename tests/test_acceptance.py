@@ -209,8 +209,8 @@ def test_criterion_7_pattern_correctness(exp_kernel):
         return d >= 1.25 * max(cluster_diam(a), cluster_diam(b)) and d > 0
 
     bad_ancestors = 0
-    for p in comp.pattern.near_pairs():
-        stack = [(p.row, p.col)]
+    for row, col in comp.pattern.pairs.tolist():
+        stack = [(row, col)]
         seen = set()
         while stack:
             i, j = stack.pop()

@@ -1,4 +1,5 @@
 import gc
+import struct
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from samplets import (
     save_compressed,
     transform_matrix_congruence,
 )
+from samplets.compression import _pattern
 from samplets.tree import Cluster, cluster_diam, cluster_dist
 
 
@@ -163,7 +165,7 @@ def test_pattern_transitivity(seed, leaf_size, eta):
                     stack.append(nxt)
         return out
 
-    retained = {(p.row, p.col) for p in comp.pattern.pairs}
+    retained = {(i, j) for i, j in comp.pattern.pairs.tolist()}
     fringe = 0
     for i, j in retained:
         assert not admissible_pair(i, j)
@@ -240,6 +242,16 @@ def test_add_compressed(setup256):
     assert gap <= err_a + err_b + 1e-12
     doubled = add_compressed(a, a)
     np.testing.assert_allclose(doubled.to_dense(), 2 * a.to_dense(), atol=1e-14)
+    # operands at different eta: the sum lives on the larger eta's pattern,
+    # which holds the smaller one's
+    lo = compress_assemble(basis, spec, eta=1.0, interp_degree=5)
+    hi = compress_assemble(basis, spec2, eta=1.5, interp_degree=5)
+    total = add_compressed(lo, hi)
+    assert total.pattern.eta == 1.5
+    np.testing.assert_array_equal(total.pattern.pairs, _pattern(basis.tree, 1.5).pairs)
+    union = np.unique(np.concatenate([lo.pattern.pairs, hi.pattern.pairs]), axis=0)
+    np.testing.assert_array_equal(total.pattern.pairs, union)
+    assert np.array_equal(total.to_dense(), lo.to_dense() + hi.to_dense())
     other_basis = build_basis(cloud, 1)
     c2 = compress_assemble(other_basis, spec, eta=1.25, interp_degree=3)
     with pytest.raises(ValueError, match="basis mismatch"):
@@ -295,23 +307,38 @@ def test_nnz_doubling_ratio_loglinear():
         assert b / a < 2.6
 
 
-def test_serialization_round_trip(tmp_path, setup256):
-    cloud, spec, basis, dense = setup256
-    comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
+@pytest.mark.parametrize(
+    "n, dim, q, seed",
+    [
+        pytest.param(256, 2, 3, 40, id="uniform256"),
+        # 20 clusters own no slots, so the pattern holds pairs that store
+        # no block
+        pytest.param(300, 3, 1, 300, id="empty-slots"),
+    ],
+)
+def test_serialization_round_trip(tmp_path, n, dim, q, seed):
+    cloud = PointCloud(np.random.default_rng(seed).random((n, dim)))
+    basis = build_basis(cloud, q)
+    comp = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=4)
     path = tmp_path / "matrix.smpb"
     save_compressed(comp, path)
     loaded = load_compressed(path, basis)
     assert loaded.n == comp.n
+    assert loaded.pattern.eta == comp.pattern.eta
+    np.testing.assert_array_equal(loaded.pattern.pairs, comp.pattern.pairs)
     assert set(loaded.blocks) == set(comp.blocks)
     for key in comp.blocks:
         np.testing.assert_array_equal(loaded.blocks[key], comp.blocks[key])
     rng = np.random.default_rng(44)
-    v = rng.standard_normal(256)
+    v = rng.standard_normal(n)
     np.testing.assert_allclose(loaded.matvec(v), comp.matvec(v), atol=1e-14)
-    other = build_basis(cloud, 1)
+    again = tmp_path / "again.smpb"
+    save_compressed(loaded, again)
+    raw = path.read_bytes()
+    assert again.read_bytes() == raw
+    other = build_basis(cloud, q + 1)
     with pytest.raises(ValueError, match="does not match"):
         load_compressed(path, other)
-    raw = path.read_bytes()
     bad = tmp_path / "bad.smpb"
     bad.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
@@ -321,3 +348,24 @@ def test_serialization_round_trip(tmp_path, setup256):
     bad.write_bytes(raw[:60] + cols.to_bytes(8, "little") + raw[68:])
     with pytest.raises(ValueError, match="does not match the basis"):
         load_compressed(bad, basis)
+    # a header eta other than the one the blocks were retained at
+    bad.write_bytes(raw[:20] + struct.pack("<d", 0.5) + raw[28:])
+    with pytest.raises(ValueError, match="does not match"):
+        load_compressed(bad, basis)
+
+
+def test_blocks_are_writable_views(tmp_path, setup256):
+    cloud, spec, basis, dense = setup256
+    comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
+    save_compressed(comp, tmp_path / "matrix.smpb")
+    v = np.random.default_rng(46).standard_normal(256)
+    for m in (comp, load_compressed(tmp_path / "matrix.smpb", basis)):
+        assert all(np.shares_memory(b, m.csr.data) for b in m.blocks.values())
+        for (i, j), block in list(m.blocks.items())[:: len(m.blocks) // 7]:
+            before = m.matvec(v)
+            block[-1, 0] += 1.0
+            change = m.matvec(v) - before
+            r, c = basis.slots[i, 1] - 1, basis.slots[j, 0]
+            assert change[r] == pytest.approx(v[c], abs=1e-12)
+            change[r] = 0.0
+            assert np.all(change == 0.0)
