@@ -3,9 +3,12 @@
 Cluster pairs separated well enough relative to their sizes are dropped
 entirely; the surviving blocks are assembled recursively, with exact kernel
 evaluation only on leaf-leaf pairs and separable polynomial interpolation on
-the admissible fringe, so the whole matrix costs loglinear work.  Only pairs
-i <= j are computed; each mirror block is stored as the exact transpose, so
-the assembled operator is exactly symmetric.
+the admissible fringe, so the whole matrix costs loglinear work.  Assembly
+runs one total level at a time, in stacked batches of blocks of one shape
+(one kind of block and one pair of level groups each), and writes the
+stored entries straight into the CSR operator.  Only pairs i <= j are
+computed; each mirror block is stored as the exact transpose, so the
+assembled operator is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from .transform import CoefficientVector, transform_matrix_congruence
 from .tree import box_dist, cluster_diam, cluster_dist
 
 ENTRY_DROP = 1e-14  # relative magnitude below which stored entries are zeroed
+_BATCH_BYTES = 1 << 18  # bound on one stacked temporary of the assembly
+# a block in assembly: exact (leaf pairs), refined over the children of its
+# row or its column cluster, or interpolated (the admissible fringe)
+_EXACT, _ROWS, _COLS, _FRINGE = range(4)
 
 
 def is_admissible(a, b, eta: float) -> bool:
@@ -47,25 +54,41 @@ def _chebyshev_axis(n):
 
 
 def _barycentric_eval(nodes, weights, x):
-    """Values of all Lagrange basis polynomials at the points x, (len(x), n)."""
-    diff = x[:, None] - nodes[None, :]
+    """Values of all Lagrange basis polynomials at the points x, x.shape + (n,)."""
+    diff = x[..., None] - nodes
     exact = diff == 0.0
-    hit = exact.any(axis=1)
+    hit = exact.any(axis=-1)
     diff[hit] = 1.0  # dummy, rows overwritten below
-    terms = weights[None, :] / diff
-    out = terms / terms.sum(axis=1)[:, None]
+    terms = weights / diff
+    out = terms / terms.sum(axis=-1, keepdims=True)
     if np.any(hit):
         out[hit] = exact[hit].astype(float)
     return out
 
 
+def _unique(keys):
+    """The distinct values of a nonnegative integer array, ascending; one
+    sort, several times faster than np.unique at the sizes assembly meets."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def _batches(count, entries):
+    """Slices of a stack of `count` items of `entries` doubles each, so that
+    one stacked temporary stays within _BATCH_BYTES."""
+    step = max(1, _BATCH_BYTES // (8 * entries))
+    return [slice(k, min(k + step, count)) for k in range(0, count, step)]
+
+
 class _InterpolationGrids:
     """Tensor Chebyshev grids per cluster plus nested far-field factors.
 
-    `factor[i]` maps a cluster's basis distributions to interpolation space:
-    entry (s, b) is the b-th distribution applied to the s-th Lagrange
-    polynomial of the cluster grid.  Built bottom-up via re-interpolation at
-    the children's grids, which is exact for the tensor polynomial space.
+    `factor[g]` stacks the factors of level group g (clusters x grid x
+    n_in); a cluster's factor maps its basis distributions to interpolation
+    space: entry (s, b) is the b-th distribution applied to the s-th
+    Lagrange polynomial of the cluster grid.  Built bottom-up, one group at
+    a time, via re-interpolation at the children's grids, which is exact for
+    the tensor polynomial space.
     """
 
     def __init__(self, basis, degree):
@@ -78,28 +101,38 @@ class _InterpolationGrids:
         axes = mid[:, :, None] + half[:, :, None] * cheb  # clusters x dim x nodes
         mesh = np.indices((degree + 1,) * dim).reshape(dim, -1)
         self.grids = np.stack([axes[:, a, mesh[a]] for a in range(dim)], axis=2)
-        self.factor = [None] * len(axes)
-        children = tree.children.tolist()
-        for i in np.argsort(-tree.level, kind="stable").tolist():  # children first
-            q = basis.transforms[i].q
-            if children[i][0] < 0:
-                pts = tree.points[tree.start[i] : tree.start[i] + len(q)]
-                ev = np.ones((len(q), 1))
-                for a in range(dim):
-                    loc = (pts[:, a] - mid[i, a]) / half[i, a]
-                    ax_ev = _barycentric_eval(cheb, bary, loc)
-                    ev = (ev[:, :, None] * ax_ev[:, None, :]).reshape(len(q), -1)
-                self.factor[i] = ev.T @ q
-            else:
-                carriers = []
-                for c in children[i]:
-                    E = np.ones((1, 1))
+        size = self.grids.shape[1]
+        # scaling columns of the children, re-interpolated at their parents'
+        # grids, in the rows of the sweep buffer that the parents' groups gather
+        lifted = np.empty((basis.slot_row, size))
+        self.factor = []
+        for g in basis.groups:
+            n_in = g.gather.shape[1]
+            self.factor.append(np.empty((len(g.index), size, n_in)))
+            for part in _batches(len(g.index), size * max(n_in, size)):
+                idx, factor = g.index[part], self.factor[-1][part]
+                if g.leaf:
+                    pts = tree.points[tree.start[idx, None] + np.arange(n_in)]
+                    ev = np.ones((len(idx), n_in, 1))
                     for a in range(dim):
-                        child_loc = (axes[c, a] - mid[i, a]) / half[i, a]
-                        E = np.kron(E, _barycentric_eval(cheb, bary, child_loc))
-                    n_sc = basis.transforms[c].n_scaling
-                    carriers.append(E.T @ self.factor[c][:, :n_sc])
-                self.factor[i] = np.hstack(carriers) @ q
+                        loc = (pts[..., a] - mid[idx, None, a]) / half[idx, None, a]
+                        ax_ev = _barycentric_eval(cheb, bary, loc)
+                        ev = ev[..., None] * ax_ev[..., None, :]
+                        ev = ev.reshape(len(idx), n_in, -1)
+                else:
+                    ev = lifted[g.gather[part]]
+                np.matmul(ev.transpose(0, 2, 1), g.q[part], out=factor)
+                if g.level > 0:
+                    p = tree.parent[idx]
+                    E = np.ones((len(idx), 1, 1))  # Kronecker product over the axes
+                    for a in range(dim):
+                        child_loc = (axes[idx, a] - mid[p, a, None]) / half[p, a, None]
+                        A = _barycentric_eval(cheb, bary, child_loc)
+                        E = E[:, :, None, :, None] * A[:, None, :, None, :]
+                        E = E.reshape(len(idx), len(cheb) ** (a + 1), -1)
+                    ns = g.n_scaling
+                    carried = np.matmul(E.transpose(0, 2, 1), factor[:, :, :ns])
+                    lifted[g.scatter[part, :ns]] = carried.transpose(0, 2, 1)
 
 
 @dataclass
@@ -136,11 +169,10 @@ def _pattern(tree, eta):
             steps.append(np.column_stack([children[front[:, 0], k], front[:, 1]]))
             steps.append(np.column_stack([front[:, 0], children[front[:, 1], k]]))
         cand = np.sort(np.concatenate(steps), axis=1)
-        cand = cand[cand[:, 0] >= 0]
-        _, first = np.unique(cand @ [n, 1], return_index=True)  # row-major keys
-        front = cand[first]
+        cand = _unique(cand[cand[:, 0] >= 0] @ [n, 1])  # row-major keys
+        front = np.stack(np.divmod(cand, n), axis=1)
     upper = np.concatenate(kept)
-    keys = np.unique(np.concatenate([upper @ [n, 1], upper @ [1, n]]))
+    keys = _unique(np.concatenate([upper @ [n, 1], upper @ [1, n]]))
     return BlockPattern(np.stack(np.divmod(keys, n), axis=1), eta)
 
 
@@ -153,7 +185,9 @@ class _Layout:
     hold a row-major (width[i], row length) array of the data from
     `base[i]` on, and block (i, j) takes width[j] of its columns from its
     column offset on.  `rows` holds, per row cluster with stored blocks, its
-    id, its column clusters and their offsets, as Python ints.
+    id, its column clusters and their offsets, as Python ints.  Entry (r, s)
+    of the k-th stored block (i, j) lies at `at[k] + r * stride[i] + s`, and
+    `code` holds the keys as i * clusters + j.
     """
 
     def __init__(self, basis, pattern):
@@ -169,12 +203,15 @@ class _Layout:
         index = np.int32 if base[-1] < 2**31 else np.int64
         self.pattern = pattern
         self.keys = keys
+        self.code = keys @ [len(slots), 1]
+        self.stride = row_len
         self.width = width.tolist()
         self.base = base.tolist()
         self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
         self.indices = np.empty(base[-1], dtype=index)
         cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
         offset = ends[:-1] - ends[first[row]]
+        self.at = base[row] + offset
         self.rows = []
         for i in np.flatnonzero(width * row_len).tolist():
             k0, k1 = first[i], first[i + 1]
@@ -185,13 +222,15 @@ class _Layout:
         """Row cluster i's part of a CSR array, a (width[i], row length) view."""
         return data[self.base[i] : self.base[i + 1]].reshape(self.width[i], -1)
 
-    def fill(self, blocks_of):
-        """CSR data from `blocks_of(i, cols)`, the blocks of row cluster i
-        with column clusters `cols`, one row cluster at a time."""
-        data = np.empty(len(self.indices))
-        for i, cols, _ in self.rows:
-            np.concatenate(blocks_of(i, cols), axis=1, out=self.row(data, i))
-        return data
+    def place(self, data, i, j, blocks):
+        """Write a stack of stored blocks (i, j), arrays of pair ids, and
+        their mirrors (j, i) as exact transposes into CSR data."""
+        n = len(self.width)
+        at = self.at[np.searchsorted(self.code, [i * n + j, j * n + i])]
+        r, s = np.indices(blocks.shape[1:]).reshape(2, -1)
+        values = blocks.reshape(len(blocks), -1)
+        data[at[0, :, None] + self.stride[i, None] * r + s] = values
+        data[at[1, :, None] + self.stride[j, None] * s + r] = values
 
 
 class CompressedKernelMatrix:
@@ -259,69 +298,109 @@ def compress_assemble(
 
     Retained pairs are all cluster pairs failing the separation test; they
     are enumerated level by level from (root, root) by single-sided descents,
-    which covers pairs of clusters on different levels.  Blocks are computed
-    deepest level first by one-sided refinement from the blocks one level
-    deeper: pairs on the admissible fringe are evaluated by separable
-    Chebyshev interpolation, non-admissible leaf-leaf pairs exactly, and
-    everything beyond the fringe is never materialized.
+    which covers pairs of clusters on different levels.  Blocks of pairs
+    i <= j are computed deepest total level first, in one stacked batch per
+    kind and pair of level groups, so every block of a batch has one shape:
+    non-admissible leaf-leaf pairs exactly from the points, the others by a
+    one-sided refinement of the blocks one level deeper.  Those are the
+    retained pairs there and the admissible fringe, evaluated once each by
+    separable Chebyshev interpolation; everything beyond the fringe is never
+    materialized.  Stored entries go straight into the CSR data.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     tree = basis.tree
     pattern = _pattern(tree, eta)
-    grids = _InterpolationGrids(basis, interp_degree)
-    q = [t.q for t in basis.transforms]
-    n_scaling = [t.n_scaling for t in basis.transforms]
-    keep = n_scaling.copy()
-    keep[0] = 0  # the root's block also covers its scaling slots
-    children, level = tree.children.tolist(), tree.level.tolist()
-    start = tree.start.tolist()
-    upper, deeper = {}, {}
-
-    def child(i, j):
-        # full block of a pair one level deeper than the current one: every
-        # retained pair there is in `deeper`, so a missing pair lies on the
-        # admissible fringe; only i <= j is computed, (j, i) is its transpose
-        key = (min(i, j), max(i, j))
-        block = deeper.get(key)
-        if block is None:
-            S = kernel_matrix(spec, grids.grids[key[0]], grids.grids[key[1]])
-            block = grids.factor[key[0]].T @ S @ grids.factor[key[1]]
-            deeper[key] = block
-        return block if i <= j else block.T
-
-    # pairs i <= j by total level (level of i plus level of j), deepest
-    # first, so each level needs only the blocks of the next
-    pairs = pattern.pairs[pattern.pairs[:, 0] <= pattern.pairs[:, 1]]
-    total = tree.level[pairs].sum(axis=1)
-    for lev in range(2 * tree.depth, -1, -1):
-        current = {}
-        for i, j in pairs[total == lev].tolist():
-            leaf_i, leaf_j = children[i][0] < 0, children[j][0] < 0
-            if leaf_i and leaf_j:
-                pa = tree.points[start[i] : start[i] + len(q[i])]
-                pb = tree.points[start[j] : start[j] + len(q[j])]
-                block = q[i].T @ kernel_matrix(spec, pa, pb) @ q[j]
-            elif not leaf_i and (level[i] <= level[j] or leaf_j):
-                rows = [child(c, j)[: n_scaling[c]] for c in children[i]]
-                block = q[i].T @ np.vstack(rows)
-            else:
-                cols = [child(i, c)[:, : n_scaling[c]] for c in children[j]]
-                block = np.hstack(cols) @ q[j]
-            if i == j:
-                block = 0.5 * (block + block.T)
-            current[(i, j)] = block
-            stored = block[keep[i] :, keep[j] :]
-            if stored.size:
-                stored = stored.copy()
-                mag = np.abs(stored)
-                stored[mag < ENTRY_DROP * mag.max()] = 0.0
-                upper[(i, j)] = stored
-        deeper = current
     layout = _Layout(basis, pattern)
-    data = layout.fill(
-        lambda i, cols: [upper[(i, j)] if i <= j else upper[(j, i)].T for j in cols]
-    )
+    grids = _InterpolationGrids(basis, interp_degree)
+    groups = basis.groups
+    n = len(tree.level)
+    gid, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)  # group, position
+    for g, group in enumerate(groups):
+        gid[group.index] = g
+        pos[group.index] = np.arange(len(group.index))
+    n_in = np.array([g.gather.shape[1] for g in groups])[gid]
+    n_sc = np.array([g.n_scaling for g in groups])[gid]
+    keep = n_in - np.array(layout.width)  # leading rows not stored; 0 at the root
+    children, level = tree.children, tree.level
+    leaf = children[:, 0] < 0
+    i, j = pattern.pairs[pattern.pairs[:, 0] <= pattern.pairs[:, 1]].T
+    kind = np.where(leaf[i] & leaf[j], _EXACT, _COLS)
+    kind[~leaf[i] & ((level[i] <= level[j]) | leaf[j])] = _ROWS
+    total = level[i] + level[j]
+
+    def refined(r, f):
+        # X[k] = vstack(block(c, f[k])[:n_sc[c]] for the children c of r[k]),
+        # read from the level below, where block (c, f) with c > f is (f, c).T
+        code, off, flat = below
+        c, f = children[r], f[:, None]
+        at = off[np.searchsorted(code, np.minimum(c, f) * n + np.maximum(c, f))]
+        row = np.arange(n_in[r[0]])
+        second = (row >= n_sc[c[:, :1]]).astype(int)  # the child of each row
+        row = row - second * n_sc[c[:, :1]]
+        c, at = np.take_along_axis(c, second, 1), np.take_along_axis(at, second, 1)
+        direct = c <= f
+        base = at + np.where(direct, row * n_in[f], row)
+        step = np.where(direct, 1, n_in[c])
+        return flat[base[..., None] + step[..., None] * np.arange(n_in[f[0, 0]])]
+
+    data = np.empty(len(layout.indices))
+    for lev in range(2 * tree.depth, -1, -1):
+        # this level's retained pairs and its fringe: the child pairs that the
+        # level above refines into and that are not retained
+        now, up = total == lev, (total == lev - 1) & (kind != _EXACT)
+        r = np.where(kind[up] == _ROWS, i[up], j[up])
+        c, f = children[r].ravel(), np.repeat(i[up] + j[up] - r, 2)
+        asked = _unique(np.minimum(c, f) * n + np.maximum(c, f))
+        have = i[now] * n + j[now]
+        missing = np.searchsorted(have, asked) == np.searchsorted(have, asked, "right")
+        fringe = asked[missing]
+        a, b = np.append(i[now], fringe // n), np.append(j[now], fringe % n)
+        kinds = np.append(kind[now], np.full(len(fringe), _FRINGE))
+        # one batch per kind and pair of level groups, so one block shape
+        batch = (kinds * len(groups) + gid[a]) * len(groups) + gid[b]
+        order = np.argsort(batch, kind="stable")
+        a, b, kinds, batch = a[order], b[order], kinds[order], batch[order]
+        size = n_in[a] * n_in[b]
+        off = np.cumsum(size) - size
+        flat = np.empty(size.sum())
+        starts = np.flatnonzero(np.diff(batch, prepend=-1)).tolist()
+        for s, e in zip(starts, starts[1:] + [len(a)]):
+            k, ga, gb, na, nb = kinds[s], gid[a[s]], gid[b[s]], n_in[a[s]], n_in[b[s]]
+            entries = grids.grids.shape[1] ** 2 if k == _FRINGE else na * nb
+            for part in _batches(e - s, entries):
+                ai, bi = a[s:e][part], b[s:e][part]
+                out = flat[off[s + part.start] :][: len(ai) * na * nb]
+                out = out.reshape(-1, na, nb)
+                if k == _FRINGE:
+                    fa, fb = grids.factor[ga][pos[ai]], grids.factor[gb][pos[bi]]
+                    S = kernel_matrix(spec, grids.grids[ai], grids.grids[bi])
+                    np.matmul(np.matmul(fa.transpose(0, 2, 1), S), fb, out=out)
+                    continue
+                if k == _EXACT:
+                    xa = tree.points[tree.start[ai, None] + np.arange(na)]
+                    xb = tree.points[tree.start[bi, None] + np.arange(nb)]
+                    qa, qb = groups[ga].q[pos[ai]], groups[gb].q[pos[bi]]
+                    S = kernel_matrix(spec, xa, xb)
+                    np.matmul(np.matmul(qa.transpose(0, 2, 1), S), qb, out=out)
+                elif k == _ROWS:
+                    qa = groups[ga].q[pos[ai]]
+                    np.matmul(qa.transpose(0, 2, 1), refined(ai, bi), out=out)
+                else:
+                    qb = groups[gb].q[pos[bi]]
+                    np.matmul(refined(bi, ai).transpose(0, 2, 1), qb, out=out)
+                diag = ai == bi
+                if diag.any():
+                    out[diag] = 0.5 * (out[diag] + out[diag].transpose(0, 2, 1))
+                stored = out[:, keep[ai[0]] :, keep[bi[0]] :].copy()
+                if stored.size:
+                    mag = np.abs(stored.reshape(len(ai), -1))
+                    small = mag < ENTRY_DROP * mag.max(axis=1, keepdims=True)
+                    stored.reshape(len(ai), -1)[small] = 0.0
+                    layout.place(data, ai, bi, stored)
+        code = a * n + b
+        by_code = np.argsort(code)
+        below = code[by_code], off[by_code], flat
     return CompressedKernelMatrix(basis, layout, data)
 
 
@@ -333,10 +412,8 @@ def add_compressed(
     if a.basis is not b.basis:
         raise ValueError("basis mismatch: operands built over different bases")
     layout = _Layout(a.basis, _pattern(a.basis.tree, max(a.pattern.eta, b.pattern.eta)))
-    data = layout.fill(
-        lambda i, cols: [a.blocks.get((i, j), 0) + b.blocks.get((i, j), 0)
-                         for j in cols]
-    )
+    rows = np.repeat(np.arange(a.n), np.diff(layout.indptr))
+    data = (a.csr + b.csr)[rows, layout.indices]
     return CompressedKernelMatrix(a.basis, layout, data)
 
 
@@ -375,8 +452,26 @@ _PREAMBLE = 36  # magic plus the "<IQIdQ" header
 _BLOCK_HEADER = 32
 
 
+def _file_words(width, i, cols, offsets):
+    """Row cluster i's part of an SMPB file, with column clusters `cols` at
+    `offsets`, as 8-byte words: the words of its block headers (row, col,
+    rows, cols), their values, the word holding each entry of its (width[i],
+    row length) slab, and the word count."""
+    w = width[cols]
+    entries = width[i] * w
+    start = np.cumsum(4 + entries) - entries  # each block's first entry
+    header = np.stack([np.full_like(w, i), cols, np.full_like(w, width[i]), w], 1)
+    # slab entry (r, s) is word start + r * w + s - offset of its block
+    at = np.repeat(start - offsets, w) + np.arange(w.sum())
+    at = at + np.arange(width[i])[:, None] * np.repeat(w, w)
+    return start[:, None] + np.arange(-4, 0), header, at, start[-1] + entries[-1]
+
+
 def save_compressed(m: CompressedKernelMatrix, path):
-    """Write the documented binary container (little-endian, 8-byte floats)."""
+    """Write the documented binary container (little-endian, 8-byte floats),
+    each row cluster's blocks with one scatter."""
+    layout = m.layout
+    width = np.array(layout.width)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(
@@ -386,12 +481,15 @@ def save_compressed(m: CompressedKernelMatrix, path):
                 m.n,
                 m.basis.moment_degree,
                 m.pattern.eta,
-                len(m.blocks),
+                len(layout.keys),
             )
         )
-        for (i, j), block in m.blocks.items():
-            fh.write(struct.pack("<QQQQ", i, j, block.shape[0], block.shape[1]))
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        for i, cols, offsets in layout.rows:
+            heads, header, at, size = _file_words(width, i, cols, offsets)
+            words = np.empty(size, "<u8")
+            words[heads] = header
+            words.view("<f8")[at] = layout.row(m.csr.data, i)
+            fh.write(words)
 
 
 def load_compressed(path, basis) -> CompressedKernelMatrix:
@@ -402,7 +500,10 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a compressed-matrix file (magic {magic!r})")
-        version, n, degree, eta, n_blocks = struct.unpack("<IQIdQ", fh.read(32))
+        head = fh.read(_PREAMBLE - 4)
+        if len(head) != _PREAMBLE - 4:
+            raise ValueError(f"truncated header: {4 + len(head)} of {_PREAMBLE} bytes")
+        version, n, degree, eta, n_blocks = struct.unpack("<IQIdQ", head)
         if version != 1:
             raise ValueError(f"unsupported container version {version}")
         if n != basis.n or degree != basis.moment_degree:
@@ -420,23 +521,17 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 f"not match the {stored} blocks in {expected} bytes of eta={eta} "
                 "on this basis"
             )
-        width = basis.slots[:, 1] - basis.slots[:, 0]
+        width = np.array(layout.width)
         data = np.empty(len(layout.indices))
         for i, cols, offsets in layout.rows:
-            w = width[cols]
-            entries = width[i] * w
-            words = np.frombuffer(fh.read(8 * (4 + entries).sum()), "<u8")
-            start = np.cumsum(4 + entries) - entries  # each block's first entry
-            got = words[start[:, None] + np.arange(-4, 0)]
-            want = np.stack([np.full_like(w, i), cols, np.full_like(w, width[i]), w], 1)
+            heads, want, at, count = _file_words(width, i, cols, offsets)
+            words = np.frombuffer(fh.read(8 * count), "<u8")
+            got = words[heads]
             if (got != want).any():
                 k = np.flatnonzero((got != want).any(axis=1))[0]
                 raise ValueError(
                     f"block (row, col, rows, cols) = {tuple(got[k].tolist())} does "
                     f"not match the basis, which gives {tuple(want[k].tolist())}"
                 )
-            # slab entry (r, s) is word start + r * w + s - offset of its block
-            at = np.repeat(start - offsets, w) + np.arange(w.sum())
-            at = at + np.arange(width[i])[:, None] * np.repeat(w, w)
             layout.row(data, i)[...] = words.view("<f8")[at]
     return CompressedKernelMatrix(basis, layout, data)

@@ -1,4 +1,6 @@
+import functools
 import gc
+import itertools
 import struct
 import tracemalloc
 
@@ -11,15 +13,22 @@ from samplets import (
     add_compressed,
     build_basis,
     compress_assemble,
+    compression,
     compression_error_report,
     dense_kernel_matrix,
     forward_transform,
     is_admissible,
+    kernel_matrix,
     load_compressed,
     save_compressed,
     transform_matrix_congruence,
 )
-from samplets.compression import _pattern
+from samplets.compression import (
+    ENTRY_DROP,
+    _barycentric_eval,
+    _chebyshev_axis,
+    _pattern,
+)
 from samplets.tree import Cluster, cluster_diam, cluster_dist
 
 
@@ -354,6 +363,13 @@ def test_serialization_round_trip(tmp_path, n, dim, q, seed):
         load_compressed(bad, basis)
 
 
+def test_load_rejects_short_header(tmp_path, setup256):
+    path = tmp_path / "short.smpb"
+    path.write_bytes(b"SMPB\x01\x00")
+    with pytest.raises(ValueError, match="truncated"):
+        load_compressed(path, setup256[2])
+
+
 def test_blocks_are_writable_views(tmp_path, setup256):
     cloud, spec, basis, dense = setup256
     comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
@@ -369,3 +385,102 @@ def test_blocks_are_writable_views(tmp_path, setup256):
             assert change[r] == pytest.approx(v[c], abs=1e-12)
             change[r] = 0.0
             assert np.all(change == 0.0)
+
+
+def _per_pair_assembly(basis, spec, eta, degree):
+    """Recursive per-pair assembly, one kernel call per block: the dense
+    samplet-coordinate matrix of the stored blocks and the number of kernel
+    entries evaluated."""
+    tree, t = basis.tree, basis.transforms
+    clusters = tree.clusters
+    cheb, bary = _chebyshev_axis(degree + 1)
+    half = np.maximum(0.5 * (tree.hi - tree.lo), 1e-8 * max(tree.diam[0], 1.0))
+    mid = 0.5 * (tree.hi + tree.lo)
+    axes = mid[:, :, None] + half[:, :, None] * cheb
+    retained = set(map(tuple, _pattern(tree, eta).pairs.tolist()))
+    entries = [0]
+
+    def kernel(x, y):
+        K = kernel_matrix(spec, x, y)
+        entries[0] += K.size
+        return K
+
+    def grid(c):
+        return np.array(list(itertools.product(*axes[c])))  # axis 0 slowest
+
+    @functools.cache
+    def factor(c):  # Lagrange polynomials of c's grid x c's distributions
+        cl = clusters[c]
+        if cl.is_leaf:
+            ev = np.ones((cl.size, 1))
+            for a, x in enumerate(tree.cluster_points(cl).T):
+                ax_ev = _barycentric_eval(cheb, bary, (x - mid[c, a]) / half[c, a])
+                ev = (ev[:, :, None] * ax_ev[:, None, :]).reshape(cl.size, -1)
+            return ev.T @ t[c].q
+        parts = []
+        for ch in cl.children:
+            E = np.ones((1, 1))
+            for a in range(tree.cloud.dim):
+                loc = (axes[ch.index, a] - mid[c, a]) / half[c, a]
+                E = np.kron(E, _barycentric_eval(cheb, bary, loc))
+            parts.append(E.T @ factor(ch.index)[:, : t[ch.index].n_scaling])
+        return np.hstack(parts) @ t[c].q
+
+    @functools.cache
+    def block(i, j):
+        if i > j:
+            return block(j, i).T
+        a, b = clusters[i], clusters[j]
+        if (i, j) not in retained:
+            return factor(i).T @ kernel(grid(i), grid(j)) @ factor(j)
+        if a.is_leaf and b.is_leaf:
+            pa, pb = tree.cluster_points(a), tree.cluster_points(b)
+            B = t[i].q.T @ kernel(pa, pb) @ t[j].q
+        elif not a.is_leaf and (a.level <= b.level or b.is_leaf):
+            rows = [block(c.index, j)[: t[c.index].n_scaling] for c in a.children]
+            B = t[i].q.T @ np.vstack(rows)
+        else:
+            cols = [block(i, c.index)[:, : t[c.index].n_scaling] for c in b.children]
+            B = np.hstack(cols) @ t[j].q
+        return 0.5 * (B + B.T) if i == j else B
+
+    dense = np.zeros((basis.n, basis.n))
+    for i, j in sorted(retained):  # pairs without slots are computed too
+        B = block(i, j)
+        (r0, r1), (c0, c1) = basis.slots[i], basis.slots[j]
+        if r1 > r0 and c1 > c0:
+            stored = B[len(B) - (r1 - r0) :, B.shape[1] - (c1 - c0) :]
+            small = np.abs(stored) < ENTRY_DROP * np.abs(stored).max()
+            dense[r0:r1, c0:c1] = np.where(small, 0.0, stored)
+    return dense, entries[0]
+
+
+@pytest.mark.parametrize(
+    "n, dim, q, degree, copies",
+    [
+        # level 5 holds leaves of 20 sites and parents of leaves of 10 and 11
+        pytest.param(656, 2, 3, 6, 1, id="uniform2d"),
+        pytest.param(200, 2, 2, 5, 3, id="tripled"),
+        pytest.param(300, 1, 3, 6, 1, id="d1q3"),
+        pytest.param(400, 3, 1, 3, 1, id="d3q1"),
+    ],
+)
+def test_batched_assembly_matches_per_pair(monkeypatch, n, dim, q, degree, copies):
+    pts = np.repeat(np.random.default_rng(47).random((n, dim)), copies, axis=0)
+    basis = build_basis(pts, q)
+    spec = Matern(0.5, 0.1)
+    levels = [g.level for g in basis.groups]
+    assert len(levels) > len(set(levels))  # several level groups on a level
+    dense, entries = _per_pair_assembly(basis, spec, 1.25, degree)
+    counted = []
+
+    def counting(spec, x, y):
+        K = kernel_matrix(spec, x, y)
+        counted.append(K.size)
+        return K
+
+    monkeypatch.setattr(compression, "kernel_matrix", counting)
+    A = compress_assemble(basis, spec, 1.25, degree).to_dense()
+    assert np.abs(A - dense).max() <= 1e-13 * np.abs(dense).max()
+    assert np.array_equal(A, A.T)
+    assert sum(counted) == entries  # every fringe pair evaluated once

@@ -157,3 +157,31 @@ def test_periodic_kernel_period_one():
     r = np.arange(0.0, 5.0)
     np.testing.assert_allclose(spec.profile(r), 1.0, atol=1e-14)
     assert spec.profile(np.array([0.5]))[0] == pytest.approx(np.exp(-50.0))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Matern(0.5, 0.3),
+        Matern(1.5, 0.3),
+        Matern(2.5, 0.3),
+        Matern(np.inf, 0.3),
+        PeriodicGaussian(5.0, 0.7),
+        ProductKernel([(Matern(1.5, 0.2), (0, 2)), (PeriodicGaussian(5.0), (2, 3))]),
+    ],
+    ids=["nu1/2", "nu3/2", "nu5/2", "gauss", "periodic", "product"],
+)
+def test_stacked_kernel_matrix_matches_pairs(spec):
+    rng = np.random.default_rng(35)
+    for n, m in ((7, 5), (1, 9), (12, 12)):
+        x = rng.random((4, n, 3))
+        y = 3.0 + rng.random((4, m, 3))
+        y[1, :1] = x[1, :1]  # coincident sites, r = 0
+        y[2] = x[2, :1]  # one site against itself and its stack neighbours
+        stacked = kernel_matrix(spec, x, y)
+        assert stacked.shape == (4, n, m)
+        for k in range(4):
+            np.testing.assert_allclose(
+                stacked[k], kernel_matrix(spec, x[k], y[k]), rtol=1e-15, atol=0
+            )
+        assert stacked[1, 0, 0] == 1.0 and np.all(stacked[2, 0] == 1.0)
