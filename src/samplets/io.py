@@ -149,10 +149,9 @@ def write_coefficients(coeffs, path, extra=None):
     """Coefficient CSV (slot order) plus a sidecar with everything needed to
     rebuild the generating basis."""
     basis = coeffs.basis
+    lines = [f"{c:.17g}\n" for c in coeffs.slots.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("coeff\n")
-        for c in coeffs.slots:
-            fh.write(f"{c:.17g}\n")
+        fh.write("coeff\n" + "".join(lines))
     meta = {
         "n": int(basis.n),
         "dim": int(basis.tree.cloud.dim),
@@ -160,12 +159,12 @@ def write_coefficients(coeffs, path, extra=None):
         "carry_degree": int(basis.carry_degree),
         "leaf_size": int(basis.tree.leaf_size),
         "n_root_scaling": int(basis.n_scaling),
-        "permutation": [int(i) for i in basis.tree.permutation],
+        "permutation": basis.tree.permutation.tolist(),
     }
     if extra:
         meta.update(extra)
     with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh)
+        fh.write(json.dumps(meta))
 
 
 def read_coefficients(path):

@@ -45,13 +45,11 @@ class ClusterTree:
     """Balanced binary tree over a point cloud.
 
     `permutation[t]` is the original index of the point at tree position t.
-    `clusters` lists all clusters in pre-order (root first); `postorder`
-    lists children before parents, which is the sweep order for bottom-up
-    algorithms.  The per-cluster arrays, indexed by pre-order id, are the
-    one source of cluster geometry and topology: bounding boxes `lo`, `hi`
-    (clusters x dim), diameters `diam` (from `cluster_diam`), `level`,
-    `start`, `parent` (-1 for the root) and `children` (clusters x 2, -1 for
-    a leaf).
+    `clusters` lists all clusters in pre-order (root first).  The per-cluster
+    arrays, indexed by pre-order id, are the one source of cluster geometry
+    and topology: bounding boxes `lo`, `hi` (clusters x dim), diameters
+    `diam` (from `cluster_diam`), `level`, `start`, `parent` (-1 for the
+    root) and `children` (clusters x 2, -1 for a leaf).
     """
 
     def __init__(self, cloud, root, permutation, leaf_size):
@@ -68,7 +66,6 @@ class ClusterTree:
             self.clusters.append(c)
             stack.extend(reversed(c.children))
         clusters = self.clusters
-        self.postorder = sorted(clusters, key=lambda c: -c.level)
         self.lo = np.array([c.bbox_lo for c in clusters])
         self.hi = np.array([c.bbox_hi for c in clusters])
         self.diam = np.array([cluster_diam(c) for c in clusters])

@@ -272,14 +272,19 @@ def test_formed_q_equals_complete_qr_bitwise():
 @pytest.mark.parametrize("leaf_size", [None, 40])
 def test_level_groups_hold_each_transform_once(leaf_size):
     rng = np.random.default_rng(22)
-    basis = build_basis(rng.random((777, 3)), 1 if leaf_size else 2, leaf_size)
+    degree = 1 if leaf_size else 2
+    basis = build_basis(rng.random((777, 3)), degree, leaf_size)
     seen = np.concatenate([g.index for g in basis.groups])
     assert sorted(seen.tolist()) == list(range(len(basis.tree.clusters)))
     levels = [g.level for g in basis.groups]
     assert levels == sorted(levels, reverse=True)
+    explicit = []
     for g in basis.groups:
-        assert g._q is None  # the explicit stack is formed on first use only
         n_in = g.gather.shape[1]
+        r = min(n_in, moment_count(degree, 3))
+        explicit.append(n_in**2 <= r * (2 * n_in + r))
+        # a WY group forms its explicit stack on first use only
+        assert (g.ut is None) == explicit[-1] == (g._q is not None)
         assert g.q.shape == (len(g.index), n_in, n_in)
         assert g.scatter.shape == g.gather.shape
         for k, i in enumerate(g.index.tolist()):
@@ -301,3 +306,17 @@ def test_level_groups_hold_each_transform_once(leaf_size):
     assert np.array_equal(np.sort(rows), np.arange(basis.slot_row))
     assert np.array_equal(np.sort(scattered), np.arange(basis.sweep_rows))
     assert all(g.leaf == basis.tree.clusters[g.index[0]].is_leaf for g in basis.groups)
+    # 40-point leaves with 4 moments are thin and keep the WY form
+    assert set(explicit) == ({False, True} if leaf_size else {True})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_square_blocks_keep_explicit_q(dim):
+    # quasi-uniform clouds at q=3 and the default leaf size, the shapes of
+    # the benchmark workloads, give square blocks in every group
+    rng = np.random.default_rng(24)
+    m = 32 if dim == 2 else 12
+    cells = np.stack(np.meshgrid(*[np.arange(m)] * dim, indexing="ij"), -1)
+    pts = (cells.reshape(-1, dim) + 0.1 + 0.8 * rng.random((m**dim, dim))) / m
+    basis = build_basis(pts[rng.permutation(len(pts))], 3)
+    assert all(g.ut is None for g in basis.groups)

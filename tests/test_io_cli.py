@@ -1,16 +1,22 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from samplets import PointCloud
+import samplets.cli
+from samplets import PointCloud, build_basis
 from samplets.cli import RunSpec, main, run
+from samplets.compression import save_compressed
 from samplets.io import (
     InputError,
     read_coefficients,
     read_points,
+    sidecar_path,
+    write_coefficients,
     write_points,
 )
+from samplets.transform import CoefficientVector
 
 
 @pytest.fixture()
@@ -193,6 +199,44 @@ def test_assemble_writes_container(cloud_csv, tmp_path):
         "matern(nu=1/2,l=0.1)", "-q", "1", "--degree", "4",
     ]) == 0
     assert out.read_bytes()[:4] == b"SMPB"
+
+
+def test_assemble_reports_stored_block_count(cloud_csv, tmp_path, monkeypatch, capsys):
+    path, _, _ = cloud_csv
+    saved = []
+
+    def save(matrix, out):
+        saved.append(matrix)
+        save_compressed(matrix, out)
+
+    monkeypatch.setattr(samplets.cli, "save_compressed", save)
+    assert main([
+        "assemble", str(path), "-o", str(tmp_path / "mat.smpb"), "--kernel",
+        "matern(nu=1/2,l=0.1)", "-q", "1", "--degree", "4",
+    ]) == 0
+    (matrix,) = saved
+    line = capsys.readouterr().err
+    blocks = int(re.search(r"# assembled: n=200 blocks=(\d+) nnz=", line).group(1))
+    assert blocks == len(matrix.blocks) > 0
+
+
+def test_write_coefficients_matches_per_line_writer(tmp_path):
+    # one joined write gives the bytes of the per-value writer it replaced
+    rng = np.random.default_rng(61)
+    basis = build_basis(rng.random((40, 2)), 1)
+    slots = rng.standard_normal(40)
+    slots[:5] = [-0.0, 5e-324, np.inf, -np.inf, 1 / 3]
+    coeffs = CoefficientVector(slots, basis)
+    path = tmp_path / "c.csv"
+    write_coefficients(coeffs, path, extra={"note": 1})
+    reference = "coeff\n" + "".join(f"{c:.17g}\n" for c in coeffs.slots)
+    assert path.read_bytes() == reference.encode()
+    meta = {
+        "n": 40, "dim": 2, "moment_degree": 1, "carry_degree": 1,
+        "leaf_size": int(basis.tree.leaf_size), "n_root_scaling": int(basis.n_scaling),
+        "permutation": [int(i) for i in basis.tree.permutation], "note": 1,
+    }
+    assert sidecar_path(path).read_bytes() == json.dumps(meta).encode()
 
 
 def test_missing_file_is_input_error(tmp_path):

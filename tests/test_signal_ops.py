@@ -82,7 +82,7 @@ def _reference_energies(coeffs):
     tree = basis.tree
     slots = coeffs.slots
     energy = np.zeros(len(tree.clusters))
-    for cluster in tree.postorder:
+    for cluster in sorted(tree.clusters, key=lambda c: -c.level):
         lo, hi = basis.samplet_slots(cluster)
         e = float(np.dot(slots[lo:hi], slots[lo:hi]))
         for child in cluster.children:

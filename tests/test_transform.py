@@ -130,7 +130,7 @@ def _sweep_reference(basis, values):
     work = values[tree.permutation]
     coeffs = np.empty_like(work)
     scaling = {}
-    for cluster in tree.postorder:
+    for cluster in sorted(tree.clusters, key=lambda c: -c.level):
         t = basis.transforms[cluster.index]
         if cluster.is_leaf:
             x = work[cluster.start : cluster.stop]

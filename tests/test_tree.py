@@ -142,7 +142,8 @@ def test_cluster_arrays_match_clusters(pts, leaf_size):
         for k in kids:
             assert tree.parent[k] == i
     assert tree.parent[tree.root.index] == -1
-    position = {c.index: k for k, c in enumerate(tree.postorder)}
+    postorder = sorted(tree.clusters, key=lambda c: -c.level)  # children first
+    position = {c.index: k for k, c in enumerate(postorder)}
     assert sorted(position) == list(range(len(tree.clusters)))
     for c in tree.clusters:
         for ch in c.children:
