@@ -2,8 +2,10 @@
 
 Cluster pairs separated well enough relative to their sizes are dropped
 entirely; the surviving blocks are assembled recursively, with exact kernel
-evaluation only on leaf-leaf pairs and separable polynomial interpolation on
-the admissible fringe, so the whole matrix costs loglinear work.  Assembly
+evaluation on leaf-leaf pairs and on the admissible fringe where its
+clusters hold fewer points than interpolation grids, and separable
+polynomial interpolation on the rest of the fringe, so the whole matrix
+costs loglinear work.  Assembly
 runs one total level at a time, in stacked batches of blocks of one shape
 (one kind of block and one pair of level groups each), and writes the
 stored entries straight into the CSR operator.  Only pairs i <= j are
@@ -22,16 +24,17 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse
 
-from .construction import build_samplet_basis
+from .construction import _weight_sweep, build_samplet_basis
 from .kernels import dense_kernel_matrix, kernel_matrix
 from .transform import CoefficientVector, transform_matrix_congruence
 from .tree import box_dist, cluster_diam, cluster_dist
 
 ENTRY_DROP = 1e-14  # relative magnitude below which stored entries are zeroed
 _BATCH_BYTES = 1 << 18  # bound on one stacked temporary of the assembly
-# a block in assembly: exact (leaf pairs), refined over the children of its
-# row or its column cluster, or interpolated (the admissible fringe)
-_EXACT, _ROWS, _COLS, _FRINGE = range(4)
+# a block in assembly: retained and exact (leaf pairs) or refined over the
+# children of its row or its column cluster; or of the admissible fringe,
+# exact from point weights or interpolated on grids
+_EXACT, _ROWS, _COLS, _POINTS, _GRID = range(5)
 
 
 def is_admissible(a, b, eta: float) -> bool:
@@ -80,59 +83,34 @@ def _batches(count, entries):
     return [slice(k, min(k + step, count)) for k in range(0, count, step)]
 
 
-class _InterpolationGrids:
-    """Tensor Chebyshev grids per cluster plus nested far-field factors.
+class _Chebyshev:
+    """Tensor Chebyshev grids of one degree on the clusters' boxes (flat
+    sides widened): the grid points of a stack of clusters, and the values
+    of their grids' Lagrange polynomials at stacks of points.  Grid points
+    run with axis 0 slowest."""
 
-    `factor[g]` stacks the factors of level group g (clusters x grid x
-    n_in); a cluster's factor maps its basis distributions to interpolation
-    space: entry (s, b) is the b-th distribution applied to the s-th
-    Lagrange polynomial of the cluster grid.  Built bottom-up, one group at
-    a time, via re-interpolation at the children's grids, which is exact for
-    the tensor polynomial space.
-    """
-
-    def __init__(self, basis, degree):
-        tree = basis.tree
+    def __init__(self, tree, degree):
         dim = tree.cloud.dim
-        cheb, bary = _chebyshev_axis(degree + 1)
+        self.nodes, self.weights = _chebyshev_axis(degree + 1)
         span = max(tree.diam[0], 1.0)  # the root's, pre-order id 0
-        half = np.maximum(0.5 * (tree.hi - tree.lo), 1e-8 * span)
-        mid = 0.5 * (tree.hi + tree.lo)
-        axes = mid[:, :, None] + half[:, :, None] * cheb  # clusters x dim x nodes
-        mesh = np.indices((degree + 1,) * dim).reshape(dim, -1)
-        self.grids = np.stack([axes[:, a, mesh[a]] for a in range(dim)], axis=2)
-        size = self.grids.shape[1]
-        # scaling columns of the children, re-interpolated at their parents'
-        # grids, in the rows of the sweep buffer that the parents' groups gather
-        lifted = np.empty((basis.slot_row, size))
-        self.factor = []
-        for g in basis.groups:
-            n_in = g.gather.shape[1]
-            self.factor.append(np.empty((len(g.index), size, n_in)))
-            for part in _batches(len(g.index), size * max(n_in, size)):
-                idx, factor = g.index[part], self.factor[-1][part]
-                if g.leaf:
-                    pts = tree.points[tree.start[idx, None] + np.arange(n_in)]
-                    ev = np.ones((len(idx), n_in, 1))
-                    for a in range(dim):
-                        loc = (pts[..., a] - mid[idx, None, a]) / half[idx, None, a]
-                        ax_ev = _barycentric_eval(cheb, bary, loc)
-                        ev = ev[..., None] * ax_ev[..., None, :]
-                        ev = ev.reshape(len(idx), n_in, -1)
-                else:
-                    ev = lifted[g.gather[part]]
-                np.matmul(ev.transpose(0, 2, 1), g.q[part], out=factor)
-                if g.level > 0:
-                    p = tree.parent[idx]
-                    E = np.ones((len(idx), 1, 1))  # Kronecker product over the axes
-                    for a in range(dim):
-                        child_loc = (axes[idx, a] - mid[p, a, None]) / half[p, a, None]
-                        A = _barycentric_eval(cheb, bary, child_loc)
-                        E = E[:, :, None, :, None] * A[:, None, :, None, :]
-                        E = E.reshape(len(idx), len(cheb) ** (a + 1), -1)
-                    ns = g.n_scaling
-                    carried = np.matmul(E.transpose(0, 2, 1), factor[:, :, :ns])
-                    lifted[g.scatter[part, :ns]] = carried.transpose(0, 2, 1)
+        self.half = np.maximum(0.5 * (tree.hi - tree.lo), 1e-8 * span)
+        self.mid = 0.5 * (tree.hi + tree.lo)
+        self.mesh = self.nodes[np.indices((degree + 1,) * dim).reshape(dim, -1).T]
+        self.size = len(self.mesh)
+
+    def grids(self, idx):
+        """Grid points of the clusters idx, (len(idx), size, dim)."""
+        return self.mid[idx, None] + self.half[idx, None] * self.mesh
+
+    def lagrange(self, idx, points):
+        """Values of the Lagrange polynomials of the grids of the clusters
+        idx at a stack of points (len(idx), s, dim), as (len(idx), s, size)."""
+        loc = (points - self.mid[idx, None]) / self.half[idx, None]
+        ev = np.ones(points.shape[:2] + (1,))
+        for a in range(points.shape[2]):
+            ax_ev = _barycentric_eval(self.nodes, self.weights, loc[..., a])
+            ev = (ev[..., None] * ax_ev[..., None, :]).reshape(points.shape[:2] + (-1,))
+        return ev
 
 
 @dataclass
@@ -299,20 +277,21 @@ def compress_assemble(
     Retained pairs are all cluster pairs failing the separation test; they
     are enumerated level by level from (root, root) by single-sided descents,
     which covers pairs of clusters on different levels.  Blocks of pairs
-    i <= j are computed deepest total level first, in one stacked batch per
-    kind and pair of level groups, so every block of a batch has one shape:
-    non-admissible leaf-leaf pairs exactly from the points, the others by a
-    one-sided refinement of the blocks one level deeper.  Those are the
-    retained pairs there and the admissible fringe, evaluated once each by
-    separable Chebyshev interpolation; everything beyond the fringe is never
-    materialized.  Stored entries go straight into the CSR data.
+    i <= j are computed deepest total level first, in stacked batches of one
+    block shape: non-admissible leaf-leaf pairs exactly from the points, the
+    others by a one-sided refinement of the blocks one level deeper.  Those
+    are the retained pairs there and the admissible fringe, evaluated once
+    each: as W_a^T K(P_a, P_b) W_b from its clusters' point weights where
+    that costs no more than on Chebyshev grids, by interpolation on the
+    grids otherwise.  Everything beyond the fringe is never materialized,
+    and stored entries go straight into the CSR data.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
     tree = basis.tree
     pattern = _pattern(tree, eta)
     layout = _Layout(basis, pattern)
-    grids = _InterpolationGrids(basis, interp_degree)
+    cheb = _Chebyshev(tree, interp_degree)
     groups = basis.groups
     n = len(tree.level)
     gid, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)  # group, position
@@ -322,12 +301,59 @@ def compress_assemble(
     n_in = np.array([g.gather.shape[1] for g in groups])[gid]
     n_sc = np.array([g.n_scaling for g in groups])[gid]
     keep = n_in - np.array(layout.width)  # leading rows not stored; 0 at the root
-    children, level = tree.children, tree.level
+    children, level, size = tree.children, tree.level, tree.size
     leaf = children[:, 0] < 0
     i, j = pattern.pairs[pattern.pairs[:, 0] <= pattern.pairs[:, 1]].T
     kind = np.where(leaf[i] & leaf[j], _EXACT, _COLS)
     kind[~leaf[i] & ((level[i] <= level[j]) | leaf[j])] = _ROWS
+    # the fringe: child pairs that retained pairs refine into and that are
+    # not retained themselves
+    up = kind != _EXACT
+    r = np.where(kind[up] == _ROWS, i[up], j[up])
+    c, f = children[r].ravel(), np.repeat(i[up] + j[up] - r, 2)
+    fringe = _unique(np.minimum(c, f) * n + np.maximum(c, f))
+    a, b = np.divmod(fringe[~np.isin(fringe, i * n + j)], n)
+    # exact from points where the kernel entries and the products W_a^T S W_b
+    # cost no more than on the two grids
+    na, nb, G = n_in[a], n_in[b], cheb.size
+    exact = size[b] * (size[a] * (1 + na) + na * nb) <= G * (G * (1 + na) + na * nb)
+    i, j = np.append(i, a), np.append(j, b)
+    kind = np.append(kind, np.where(exact, _POINTS, _GRID))
     total = level[i] + level[j]
+
+    def points_of(c, s):  # the points of a stack of clusters of s points each
+        return tree.points[tree.start[c, None] + np.arange(s)]
+
+    # point weights, one zero-padded stack per level group, and `wrow`, a
+    # cluster's row in it: q for leaves, the weight sweep's for the interior
+    # clusters of the fringe
+    wanted = (np.bincount(np.append(a, b), minlength=n) > 0) & ~leaf
+    wrow, weights = np.full(n, -1), []
+    for group in groups:
+        held = group.index if group.leaf else group.index[wanted[group.index]]
+        wrow[held] = np.arange(len(held))
+        shape = (len(held), size[group.index].max(), n_in[group.index[0]])
+        weights.append(group.q if group.leaf else np.zeros(shape))
+
+    def hold(cluster, w):
+        if wanted[cluster.index]:
+            weights[gid[cluster.index]][wrow[cluster.index], : len(w)] = w
+
+    _weight_sweep(basis, tree.root, hold)
+    # interpolation factors Lambda_c(P_c)^T W_c of the clusters of the
+    # interpolated fringe, where Lambda_c holds c's grid polynomials
+    on_grid = np.bincount(np.append(a[~exact], b[~exact]), minlength=n) > 0
+    frow, factors = np.full(n, -1), []
+    for g, group in enumerate(groups):
+        idx = group.index[on_grid[group.index]]
+        frow[idx] = np.arange(len(idx))
+        factors.append(np.empty((len(idx), G, n_in[group.index[0]])))
+        for s in _unique(size[idx]).tolist():
+            of_size = idx[size[idx] == s]
+            for part in _batches(len(of_size), s * G):
+                c = of_size[part]
+                ev = cheb.lagrange(c, points_of(c, s)).transpose(0, 2, 1)
+                factors[g][frow[c]] = np.matmul(ev, weights[g][wrow[c], :s])
 
     def refined(r, f):
         # X[k] = vstack(block(c, f[k])[:n_sc[c]] for the children c of r[k]),
@@ -346,49 +372,42 @@ def compress_assemble(
 
     data = np.empty(len(layout.indices))
     for lev in range(2 * tree.depth, -1, -1):
-        # this level's retained pairs and its fringe: the child pairs that the
-        # level above refines into and that are not retained
-        now, up = total == lev, (total == lev - 1) & (kind != _EXACT)
-        r = np.where(kind[up] == _ROWS, i[up], j[up])
-        c, f = children[r].ravel(), np.repeat(i[up] + j[up] - r, 2)
-        asked = _unique(np.minimum(c, f) * n + np.maximum(c, f))
-        have = i[now] * n + j[now]
-        missing = np.searchsorted(have, asked) == np.searchsorted(have, asked, "right")
-        fringe = asked[missing]
-        a, b = np.append(i[now], fringe // n), np.append(j[now], fringe % n)
-        kinds = np.append(kind[now], np.full(len(fringe), _FRINGE))
-        # one batch per kind and pair of level groups, so one block shape
-        batch = (kinds * len(groups) + gid[a]) * len(groups) + gid[b]
-        order = np.argsort(batch, kind="stable")
-        a, b, kinds, batch = a[order], b[order], kinds[order], batch[order]
-        size = n_in[a] * n_in[b]
-        off = np.cumsum(size) - size
-        flat = np.empty(size.sum())
-        starts = np.flatnonzero(np.diff(batch, prepend=-1)).tolist()
+        now = total == lev
+        a, b, kinds = i[now], j[now], kind[now]
+        # one batch per kind, pair of level groups and, for the fringe from
+        # points, pair of sizes, so one block shape
+        sized = kinds == _POINTS
+        batch = np.stack([kinds, gid[a], gid[b], size[a] * sized, size[b] * sized])
+        order = np.lexsort(batch[::-1])
+        a, b, kinds, batch = a[order], b[order], kinds[order], batch[:, order]
+        block = n_in[a] * n_in[b]
+        off = np.cumsum(block) - block
+        flat = np.empty(block.sum())
+        starts = np.flatnonzero(np.diff(batch, prepend=-1).any(axis=0)).tolist()
         for s, e in zip(starts, starts[1:] + [len(a)]):
             k, ga, gb, na, nb = kinds[s], gid[a[s]], gid[b[s]], n_in[a[s]], n_in[b[s]]
-            entries = grids.grids.shape[1] ** 2 if k == _FRINGE else na * nb
-            for part in _batches(e - s, entries):
+            sa, sb = size[a[s]], size[b[s]]
+            wide = {_POINTS: max(sa * sb, sa * na, sb * nb), _GRID: G * G}
+            for part in _batches(e - s, wide.get(k, na * nb)):
                 ai, bi = a[s:e][part], b[s:e][part]
                 out = flat[off[s + part.start] :][: len(ai) * na * nb]
                 out = out.reshape(-1, na, nb)
-                if k == _FRINGE:
-                    fa, fb = grids.factor[ga][pos[ai]], grids.factor[gb][pos[bi]]
-                    S = kernel_matrix(spec, grids.grids[ai], grids.grids[bi])
+                if k == _GRID:
+                    fa, fb = factors[ga][frow[ai]], factors[gb][frow[bi]]
+                    S = kernel_matrix(spec, cheb.grids(ai), cheb.grids(bi))
                     np.matmul(np.matmul(fa.transpose(0, 2, 1), S), fb, out=out)
-                    continue
-                if k == _EXACT:
-                    xa = tree.points[tree.start[ai, None] + np.arange(na)]
-                    xb = tree.points[tree.start[bi, None] + np.arange(nb)]
-                    qa, qb = groups[ga].q[pos[ai]], groups[gb].q[pos[bi]]
-                    S = kernel_matrix(spec, xa, xb)
-                    np.matmul(np.matmul(qa.transpose(0, 2, 1), S), qb, out=out)
+                elif k in (_EXACT, _POINTS):
+                    wa, wb = weights[ga][wrow[ai], :sa], weights[gb][wrow[bi], :sb]
+                    S = kernel_matrix(spec, points_of(ai, sa), points_of(bi, sb))
+                    np.matmul(np.matmul(wa.transpose(0, 2, 1), S), wb, out=out)
                 elif k == _ROWS:
                     qa = groups[ga].q[pos[ai]]
                     np.matmul(qa.transpose(0, 2, 1), refined(ai, bi), out=out)
                 else:
                     qb = groups[gb].q[pos[bi]]
                     np.matmul(refined(bi, ai).transpose(0, 2, 1), qb, out=out)
+                if k >= _POINTS:
+                    continue  # fringe blocks are not stored
                 diag = ai == bi
                 if diag.any():
                     out[diag] = 0.5 * (out[diag] + out[diag].transpose(0, 2, 1))

@@ -357,8 +357,7 @@ def _level_groups(tree, n_scaling_cap):
     level, children = tree.level, tree.children
     is_leaf = children[:, 0] < 0
     n_in = np.empty(len(level), dtype=int)
-    leaves = np.flatnonzero(is_leaf)  # they tile the points in pre-order
-    n_in[leaves] = np.diff(tree.start[leaves], append=tree.n_points)
+    n_in[is_leaf] = tree.size[is_leaf]
     for lev in range(tree.depth - 1, -1, -1):
         inner = np.flatnonzero(~is_leaf & (level == lev))
         n_in[inner] = np.minimum(n_in[children[inner]], n_scaling_cap).sum(axis=1)

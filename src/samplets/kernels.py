@@ -20,9 +20,9 @@ _SQRT5 = np.sqrt(5.0)
 def _distances(x, y):
     """Euclidean distances between the points of x (..., n, d) and y (...,
     m, d), stacks of one leading shape, as a stack (..., n, m): one compiled
-    cdist per pair of point sets.  It sums squared coordinate differences,
-    so coincident sites give r = 0 exactly, unlike the |x|^2 + |y|^2 - 2 x.y
-    expansion, and it runs 1.5-2.5x faster than numpy broadcasting does."""
+    cdist per pair of point sets, summing squared coordinate differences, so
+    coincident sites give r = 0 exactly.  Per-axis broadcasting gives the same
+    bits, 2x faster on 16 x 16 blocks but slower from 49 x 49 blocks on."""
     out = np.empty(x.shape[:-1] + y.shape[-2:-1])
     for k in np.ndindex(x.shape[:-2]):
         cdist(x[k], y[k], out=out[k])

@@ -48,8 +48,8 @@ class ClusterTree:
     `clusters` lists all clusters in pre-order (root first).  The per-cluster
     arrays, indexed by pre-order id, are the one source of cluster geometry
     and topology: bounding boxes `lo`, `hi` (clusters x dim), diameters
-    `diam` (from `cluster_diam`), `level`, `start`, `parent` (-1 for the
-    root) and `children` (clusters x 2, -1 for a leaf).
+    `diam` (from `cluster_diam`), `level`, `start`, `size` (points held),
+    `parent` (-1 for the root) and `children` (clusters x 2, -1 for a leaf).
     """
 
     def __init__(self, cloud, root, permutation, leaf_size):
@@ -71,6 +71,7 @@ class ClusterTree:
         self.diam = np.array([cluster_diam(c) for c in clusters])
         self.level = np.array([c.level for c in clusters])
         self.start = np.array([c.start for c in clusters])
+        self.size = np.array([c.size for c in clusters])
         self.children = np.full((len(clusters), 2), -1)
         for c in clusters:
             self.children[c.index, : len(c.children)] = [ch.index for ch in c.children]

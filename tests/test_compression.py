@@ -29,6 +29,7 @@ from samplets.compression import (
     _chebyshev_axis,
     _pattern,
 )
+from samplets.construction import cluster_weight_matrix
 from samplets.tree import Cluster, cluster_diam, cluster_dist
 
 
@@ -390,13 +391,16 @@ def test_blocks_are_writable_views(tmp_path, setup256):
 def _per_pair_assembly(basis, spec, eta, degree):
     """Recursive per-pair assembly, one kernel call per block: the dense
     samplet-coordinate matrix of the stored blocks and the number of kernel
-    entries evaluated."""
+    entries evaluated.  A pair that is not retained is computed exactly from
+    its clusters' point weights where its kernel entries and products cost
+    no more than on the two grids, and by nested interpolation otherwise."""
     tree, t = basis.tree, basis.transforms
     clusters = tree.clusters
     cheb, bary = _chebyshev_axis(degree + 1)
     half = np.maximum(0.5 * (tree.hi - tree.lo), 1e-8 * max(tree.diam[0], 1.0))
     mid = 0.5 * (tree.hi + tree.lo)
     axes = mid[:, :, None] + half[:, :, None] * cheb
+    grid_size = (degree + 1) ** tree.cloud.dim
     retained = set(map(tuple, _pattern(tree, eta).pairs.tolist()))
     entries = [0]
 
@@ -432,6 +436,16 @@ def _per_pair_assembly(basis, spec, eta, degree):
             return block(j, i).T
         a, b = clusters[i], clusters[j]
         if (i, j) not in retained:
+            ni, nj = t[i].n_in, t[j].n_in
+
+            def cost(si, sj):  # kernel entries and the products W_i^T K W_j
+                return sj * (si * (1 + ni) + ni * nj)
+
+            if cost(a.size, b.size) <= cost(grid_size, grid_size):
+                wi = cluster_weight_matrix(basis, a)
+                wj = cluster_weight_matrix(basis, b)
+                pa, pb = tree.cluster_points(a), tree.cluster_points(b)
+                return wi.T @ kernel(pa, pb) @ wj
             return factor(i).T @ kernel(grid(i), grid(j)) @ factor(j)
         if a.is_leaf and b.is_leaf:
             pa, pb = tree.cluster_points(a), tree.cluster_points(b)
@@ -484,3 +498,27 @@ def test_batched_assembly_matches_per_pair(monkeypatch, n, dim, q, degree, copie
     assert np.abs(A - dense).max() <= 1e-13 * np.abs(dense).max()
     assert np.array_equal(A, A.T)
     assert sum(counted) == entries  # every fringe pair evaluated once
+
+
+def test_high_dimensional_fringe_from_points(monkeypatch):
+    # d=4, q=1, p=4: a grid holds 625 points, more than most fringe clusters,
+    # so the fringe is exact from point weights and the stored entries are
+    # the dense congruence's; on grids the fringe took 5.25e9 kernel entries
+    n = 2000
+    cloud = PointCloud(np.random.default_rng(48).random((n, 4)))
+    spec = Matern(0.5, 0.1)
+    basis = build_basis(cloud, 1)
+    counted = []
+
+    def counting(spec, x, y):
+        K = kernel_matrix(spec, x, y)
+        counted.append(K.size)
+        return K
+
+    monkeypatch.setattr(compression, "kernel_matrix", counting)
+    csr = compress_assemble(basis, spec, 1.25, 4).csr
+    assert sum(counted) < n * n
+    dense = transform_matrix_congruence(basis, dense_kernel_matrix(spec, cloud))
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    gap = np.abs(csr.data - dense[rows, csr.indices]).max()
+    assert gap <= 1e-13 * np.abs(dense).max()

@@ -134,6 +134,7 @@ def test_cluster_arrays_match_clusters(pts, leaf_size):
     for c in tree.clusters:
         i = c.index
         assert tree.level[i] == c.level and tree.start[i] == c.start
+        assert tree.size[i] == c.size
         np.testing.assert_array_equal(tree.lo[i], c.bbox_lo)
         np.testing.assert_array_equal(tree.hi[i], c.bbox_hi)
         assert tree.diam[i] == cluster_diam(c)
