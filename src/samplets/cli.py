@@ -277,7 +277,9 @@ def _run_pursue(spec: RunSpec):
     )
     result = solve_pursuit(problem)
     for i, beta in enumerate(result.coefficients):
-        write_coefficients(beta, f"{spec.output}.k{i}.csv")
+        write_coefficients(
+            beta, f"{spec.output}.k{i}.csv", extra=_rescale_meta(offset, scale)
+        )
     write_report_csv(
         str(spec.output) + ".report.csv",
         ["kernel", "nnz", "iterations", "residual", "objective"],
@@ -339,7 +341,6 @@ def _parser():
         sp.add_argument("--leaf-size", type=int, default=None)
         sp.add_argument("--rescale-unit-box", dest="rescale", action="store_true",
                         help="map sites into [0,1]^d and record the affine map")
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("transform", help="samplet analysis / synthesis of values")
     common(sp)
@@ -359,6 +360,7 @@ def _parser():
     common(sp)
     sp.add_argument("--epsilon", type=float, default=1e-2)
     sp.add_argument("-n", type=int, required=True, help="sample size")
+    sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("assemble", help="compressed kernel matrix assembly")
     common(sp)

@@ -24,7 +24,7 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse
 
-from .construction import _weight_sweep, build_samplet_basis
+from .construction import build_samplet_basis, cluster_weight_matrix
 from .kernels import dense_kernel_matrix, kernel_matrix
 from .transform import CoefficientVector, transform_matrix_congruence
 from .tree import box_dist, cluster_diam, cluster_dist
@@ -292,14 +292,8 @@ def compress_assemble(
     pattern = _pattern(tree, eta)
     layout = _Layout(basis, pattern)
     cheb = _Chebyshev(tree, interp_degree)
-    groups = basis.groups
-    n = len(tree.level)
-    gid, pos = np.empty(n, dtype=int), np.empty(n, dtype=int)  # group, position
-    for g, group in enumerate(groups):
-        gid[group.index] = g
-        pos[group.index] = np.arange(len(group.index))
-    n_in = np.array([g.gather.shape[1] for g in groups])[gid]
-    n_sc = np.array([g.n_scaling for g in groups])[gid]
+    groups, gid, pos = basis.groups, basis.group, basis.position
+    n, n_in, n_sc = len(tree.level), basis.n_in, basis.n_sc
     keep = n_in - np.array(layout.width)  # leading rows not stored; 0 at the root
     children, level, size = tree.children, tree.level, tree.size
     leaf = children[:, 0] < 0
@@ -339,7 +333,7 @@ def compress_assemble(
         if wanted[cluster.index]:
             weights[gid[cluster.index]][wrow[cluster.index], : len(w)] = w
 
-    _weight_sweep(basis, tree.root, hold)
+    cluster_weight_matrix(basis, tree.root, hold)
     # interpolation factors Lambda_c(P_c)^T W_c of the clusters of the
     # interpolated fringe, where Lambda_c holds c's grid polynomials
     on_grid = np.bincount(np.append(a[~exact], b[~exact]), minlength=n) > 0

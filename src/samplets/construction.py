@@ -90,46 +90,6 @@ def moment_shift_matrix(exponents, scale_ratio, offset):
     return S.reshape(ratios.shape + below.shape)
 
 
-class ClusterTransform:
-    """Orthogonal two-scale transform of one cluster.
-
-    `q` (n_in x n_in) combines the n_in incoming distributions (Diracs at a
-    leaf, children's scaling distributions otherwise): its first `n_scaling`
-    columns generate the scaling distributions, the rest the samplets.  `q`
-    is the cluster's matrix in the stack of its level group.
-    """
-
-    __slots__ = ("group", "position")
-
-    def __init__(self, group, position):
-        self.group = group
-        self.position = position
-
-    @property
-    def q(self):
-        return self.group.q[self.position]
-
-    @property
-    def n_scaling(self):
-        return self.group.n_scaling
-
-    @property
-    def q_phi(self):
-        return self.q[:, : self.n_scaling]
-
-    @property
-    def q_sigma(self):
-        return self.q[:, self.n_scaling :]
-
-    @property
-    def n_in(self):
-        return self.group.gather.shape[1]
-
-    @property
-    def n_samplets(self):
-        return self.n_in - self.n_scaling
-
-
 class LevelGroup:
     """Clusters of one tree level, all leaves or all interior, with equal
     n_in (hence equal n_scaling).
@@ -292,10 +252,12 @@ class SampletBasis:
     samplets with clusters in pre-order, samplets in QR column order.  The
     root's slots are therefore the contiguous leading block.
 
-    `samplet_offsets` and `samplet_counts` give each cluster's samplet slots
-    by pre-order id; `slots` (clusters x 2) holds the stored-slot ranges,
-    which tile 0..N in pre-order (the root's range also spans the scaling
-    slots).
+    Per-cluster state is one table of arrays indexed by pre-order id:
+    cluster i's transform is `groups[group[i]].q[position[i]]`, it combines
+    `n_in[i]` incoming distributions into `n_sc[i]` scaling distributions
+    and n_in[i] - n_sc[i] samplets, and `slots` (clusters x 2) holds its
+    stored-slot range.  The ranges tile 0..N in pre-order, each ending with
+    the cluster's samplets (the root's range also spans the scaling slots).
 
     `groups` batches the transforms by level, deepest first, over a sweep
     buffer of `sweep_rows` rows: the scaling distributions of every non-root
@@ -304,30 +266,31 @@ class SampletBasis:
     """
 
     def __init__(
-        self, tree, moment_degree, carry_degree, transforms, offsets, groups, slot_row
+        self, tree, moment_degree, carry_degree, group, position, n_in, n_sc,
+        slots, groups, slot_row,
     ):
         self.tree = tree
         self.moment_degree = moment_degree
         self.carry_degree = carry_degree
-        self.transforms = transforms
-        self.samplet_offsets = offsets
+        self.group = group
+        self.position = position
+        self.n_in = n_in
+        self.n_sc = n_sc
+        self.slots = slots
         self.groups = groups
         self.slot_row = slot_row
         self.sweep_rows = slot_row + tree.n_points
-        self.n_scaling = transforms[tree.root.index].n_scaling
-        ends = np.append(offsets[1:], tree.n_points)  # offsets tile in pre-order
-        self.samplet_counts = ends - offsets
-        self.slots = np.stack([offsets, ends], axis=1)
-        self.slots[tree.root.index, 0] = 0
+        self.n_scaling = int(n_sc[tree.root.index])
 
     @property
     def n(self):
         return self.tree.n_points
 
     def samplet_slots(self, cluster):
-        """Half-open slot range of the cluster's samplet coefficients."""
-        off = self.samplet_offsets[cluster.index]
-        return off, off + self.samplet_counts[cluster.index]
+        """Half-open slot range of the cluster's samplet coefficients: its
+        stored slots less the root's leading scaling slots."""
+        lo, hi = self.slots[cluster.index]
+        return max(lo, self.n_scaling), hi
 
     def stored_slots(self, cluster):
         """Slot range a kernel block for this cluster covers; the root block
@@ -336,8 +299,9 @@ class SampletBasis:
 
     def samplet_levels(self):
         """Level of the cluster owning each slot; root scaling slots get -1."""
-        levels = np.repeat(self.tree.level, self.samplet_counts)
-        return np.concatenate([np.full(self.n_scaling, -1), levels])
+        levels = np.repeat(self.tree.level, self.slots[:, 1] - self.slots[:, 0])
+        levels[: self.n_scaling] = -1  # the root's range comes first
+        return levels
 
 
 def default_leaf_size(moment_degree: int, dim: int) -> int:
@@ -346,8 +310,9 @@ def default_leaf_size(moment_degree: int, dim: int) -> int:
 
 
 def _level_groups(tree, n_scaling_cap):
-    """Slot offsets, level groups (transforms not yet set) and the first
-    coefficient row of the sweep buffer.
+    """The per-cluster table (group, position, n_in, n_sc, slots), the level
+    groups (transforms not yet set) and the first coefficient row of the
+    sweep buffer, as the trailing arguments of SampletBasis.
 
     The counts follow from the tree alone: a leaf takes its points as
     incoming distributions, an interior cluster its children's scaling
@@ -364,18 +329,22 @@ def _level_groups(tree, n_scaling_cap):
     n_sc = np.minimum(n_in, n_scaling_cap)
     n_samplets = n_in - n_sc
     offsets = n_sc[root] + np.cumsum(n_samplets) - n_samplets  # pre-order
+    slots = np.stack([offsets, offsets + n_samplets], axis=1)
+    slots[root, 0] = 0
     rest = np.lexsort((np.arange(len(level)), level))[1:]  # non-root, by level
     up = np.empty(len(level), dtype=int)
     up[rest] = np.cumsum(n_sc[rest]) - n_sc[rest]
     slot_row = int(n_sc[rest].sum())
     up[root] = slot_row  # the root's scaling distributions lead the slots
     first = np.where(is_leaf, tree.start, up[children[:, 0]])
+    group, position = np.empty_like(n_in), np.empty_like(n_in)
     groups = []
     for lev in range(tree.depth, -1, -1):
         members = np.flatnonzero(level == lev)
         kinds = np.stack([is_leaf[members], n_in[members]], axis=1)
         for leaf, width in np.unique(kinds, axis=0).tolist():
             index = members[(kinds == (leaf, width)).all(axis=1)]
+            group[index], position[index] = len(groups), np.arange(len(index))
             ns = min(width, n_scaling_cap)
             gather = first[index, None] + np.arange(width)
             if leaf:
@@ -385,7 +354,7 @@ def _level_groups(tree, n_scaling_cap):
                 slot_row + offsets[index, None] + np.arange(width - ns),
             ])
             groups.append(LevelGroup(lev, bool(leaf), index, ns, gather, scatter))
-    return offsets, groups, slot_row
+    return group, position, n_in, n_sc, slots, groups, slot_row
 
 
 def build_samplet_basis(
@@ -414,16 +383,16 @@ def build_samplet_basis(
     if carry_degree < moment_degree:
         raise ValueError("carry_degree must be >= moment_degree")
     exponents = monomial_exponents(tree.cloud.dim, carry_degree)
-    offsets, groups, slot_row = _level_groups(
-        tree, moment_count(moment_degree, tree.cloud.dim)
+    basis = SampletBasis(
+        tree, moment_degree, carry_degree,
+        *_level_groups(tree, moment_count(moment_degree, tree.cloud.dim)),
     )
     centers, scales = local_frames(tree)
 
     # moments of the scaling distributions in their parent's frame, by
     # sweep buffer row; leaves take the Diracs' moments in their own frame
-    moments = np.empty((slot_row, len(exponents)))
-    transforms = [None] * len(tree.clusters)
-    for g in groups:
+    moments = np.empty((basis.slot_row, len(exponents)))
+    for g in basis.groups:
         if g.leaf:
             R = g.factorize(dirac_moments(
                 tree.cloud.points[g.gather], exponents,
@@ -431,8 +400,6 @@ def build_samplet_basis(
             ))
         else:
             R = g.factorize(moments[g.gather])
-        for position, i in enumerate(g.index.tolist()):
-            transforms[i] = ClusterTransform(g, position)
         if g.level > 0:
             p = tree.parent[g.index]
             shift = moment_shift_matrix(
@@ -445,9 +412,7 @@ def build_samplet_basis(
                 0, 2, 1
             )
             del R, shift, scaling  # free before the next group's factorization
-    return SampletBasis(
-        tree, moment_degree, carry_degree, transforms, offsets, groups, slot_row
-    )
+    return basis
 
 
 def build_basis(cloud, moment_degree, leaf_size=None, carry_degree=None):
@@ -463,40 +428,32 @@ def build_basis(cloud, moment_degree, leaf_size=None, carry_degree=None):
     return build_samplet_basis(tree, moment_degree, carry_degree)
 
 
-def _weight_sweep(basis, cluster, visit=None):
+def cluster_weight_matrix(basis, cluster, visit=None):
     """Dense Dirac weights of a cluster's scaling distributions and samplets.
 
     Returns a (cluster.size, n_in) matrix in tree point order; column j holds
     the weights of the j-th generated distribution.  Applies `visit(cluster,
     weights)` to every cluster of the subtree, children first.  Works per
-    cluster from `ClusterTransform.q`, independent of the batched sweeps.
+    cluster from the basis table, independent of the batched sweeps; cost
+    is proportional to cluster size times block width.
     """
-    t = basis.transforms[cluster.index]
+    i = cluster.index
+    q = basis.groups[basis.group[i]].q[basis.position[i]]
     if cluster.is_leaf:
-        weights = t.q.copy()
+        weights = q.copy()
     else:
-        carrier = np.zeros((cluster.size, t.n_in))
+        carrier = np.zeros((cluster.size, basis.n_in[i]))
         col = 0
         for child in cluster.children:
-            n_sc = basis.transforms[child.index].n_scaling
+            n_sc = basis.n_sc[child.index]
             r0 = child.start - cluster.start
-            w_child = _weight_sweep(basis, child, visit)
+            w_child = cluster_weight_matrix(basis, child, visit)
             carrier[r0 : r0 + child.size, col : col + n_sc] = w_child[:, :n_sc]
             col += n_sc
-        weights = carrier @ t.q
+        weights = carrier @ q
     if visit is not None:
         visit(cluster, weights)
     return weights
-
-
-def cluster_weight_matrix(basis, cluster):
-    """Dense weight vectors of a cluster's scaling and samplet distributions.
-
-    Returns a (cluster.size, n_scaling + n_samplets) matrix in tree point
-    order; column j holds the Dirac weights of the j-th basis distribution.
-    Cost is proportional to cluster size times block width.
-    """
-    return _weight_sweep(basis, cluster)
 
 
 def assemble_dense_transform(basis: SampletBasis, guard: int = 8192) -> np.ndarray:
@@ -509,12 +466,12 @@ def assemble_dense_transform(basis: SampletBasis, guard: int = 8192) -> np.ndarr
     T = np.zeros((n, n))
 
     def place(cluster, weights):
-        n_sc = basis.transforms[cluster.index].n_scaling
+        n_sc = basis.n_sc[cluster.index]
         cols = tree.permutation[cluster.start : cluster.stop]
         lo, hi = basis.samplet_slots(cluster)
         T[lo:hi, cols] = weights[:, n_sc:].T
         if cluster is tree.root:
             T[:n_sc, cols] = weights[:, :n_sc].T
 
-    _weight_sweep(basis, tree.root, place)
+    cluster_weight_matrix(basis, tree.root, place)
     return T

@@ -280,30 +280,11 @@ def test_error_report_trends(setup256):
 
 
 def _pattern_nnz(basis, eta):
-    clusters = basis.tree.clusters
-    root = basis.tree.root
-
-    def far(a, b):
-        d = cluster_dist(a, b)
-        return d >= eta * max(cluster_diam(a), cluster_diam(b)) and d > 0
-
-    def width(c):
-        t = basis.transforms[c.index]
-        return t.n_samplets + (t.n_scaling if c is root else 0)
-
-    seen, stack, nnz = set(), [(root, root)], 0
-    while stack:
-        a, b = stack.pop()
-        key = (a.index, b.index)
-        if key in seen:
-            continue
-        seen.add(key)
-        if far(a, b):
-            continue
-        nnz += width(a) * width(b)
-        stack.extend((c, b) for c in a.children)
-        stack.extend((a, c) for c in b.children)
-    return nnz
+    """Stored entries of the retained pattern: width(i) * width(j) summed
+    over its cluster pairs, widths from the basis's slot ranges."""
+    width = basis.slots[:, 1] - basis.slots[:, 0]
+    i, j = _pattern(basis.tree, eta).pairs.T
+    return int((width[i] * width[j]).sum())
 
 
 def test_nnz_doubling_ratio_loglinear():
@@ -394,7 +375,7 @@ def _per_pair_assembly(basis, spec, eta, degree):
     entries evaluated.  A pair that is not retained is computed exactly from
     its clusters' point weights where its kernel entries and products cost
     no more than on the two grids, and by nested interpolation otherwise."""
-    tree, t = basis.tree, basis.transforms
+    tree, n_in, n_sc = basis.tree, basis.n_in, basis.n_sc
     clusters = tree.clusters
     cheb, bary = _chebyshev_axis(degree + 1)
     half = np.maximum(0.5 * (tree.hi - tree.lo), 1e-8 * max(tree.diam[0], 1.0))
@@ -409,6 +390,9 @@ def _per_pair_assembly(basis, spec, eta, degree):
         entries[0] += K.size
         return K
 
+    def q(c):  # c's transform, from the basis table
+        return basis.groups[basis.group[c]].q[basis.position[c]]
+
     def grid(c):
         return np.array(list(itertools.product(*axes[c])))  # axis 0 slowest
 
@@ -420,15 +404,15 @@ def _per_pair_assembly(basis, spec, eta, degree):
             for a, x in enumerate(tree.cluster_points(cl).T):
                 ax_ev = _barycentric_eval(cheb, bary, (x - mid[c, a]) / half[c, a])
                 ev = (ev[:, :, None] * ax_ev[:, None, :]).reshape(cl.size, -1)
-            return ev.T @ t[c].q
+            return ev.T @ q(c)
         parts = []
         for ch in cl.children:
             E = np.ones((1, 1))
             for a in range(tree.cloud.dim):
                 loc = (axes[ch.index, a] - mid[c, a]) / half[c, a]
                 E = np.kron(E, _barycentric_eval(cheb, bary, loc))
-            parts.append(E.T @ factor(ch.index)[:, : t[ch.index].n_scaling])
-        return np.hstack(parts) @ t[c].q
+            parts.append(E.T @ factor(ch.index)[:, : n_sc[ch.index]])
+        return np.hstack(parts) @ q(c)
 
     @functools.cache
     def block(i, j):
@@ -436,7 +420,7 @@ def _per_pair_assembly(basis, spec, eta, degree):
             return block(j, i).T
         a, b = clusters[i], clusters[j]
         if (i, j) not in retained:
-            ni, nj = t[i].n_in, t[j].n_in
+            ni, nj = n_in[i], n_in[j]
 
             def cost(si, sj):  # kernel entries and the products W_i^T K W_j
                 return sj * (si * (1 + ni) + ni * nj)
@@ -449,13 +433,13 @@ def _per_pair_assembly(basis, spec, eta, degree):
             return factor(i).T @ kernel(grid(i), grid(j)) @ factor(j)
         if a.is_leaf and b.is_leaf:
             pa, pb = tree.cluster_points(a), tree.cluster_points(b)
-            B = t[i].q.T @ kernel(pa, pb) @ t[j].q
+            B = q(i).T @ kernel(pa, pb) @ q(j)
         elif not a.is_leaf and (a.level <= b.level or b.is_leaf):
-            rows = [block(c.index, j)[: t[c.index].n_scaling] for c in a.children]
-            B = t[i].q.T @ np.vstack(rows)
+            rows = [block(c.index, j)[: n_sc[c.index]] for c in a.children]
+            B = q(i).T @ np.vstack(rows)
         else:
-            cols = [block(i, c.index)[:, : t[c.index].n_scaling] for c in b.children]
-            B = np.hstack(cols) @ t[j].q
+            cols = [block(i, c.index)[:, : n_sc[c.index]] for c in b.children]
+            B = np.hstack(cols) @ q(j)
         return 0.5 * (B + B.T) if i == j else B
 
     dense = np.zeros((basis.n, basis.n))

@@ -57,19 +57,21 @@ def test_moment_matrix_constant_row_and_local_frame():
 
 def test_haar_pair_for_two_points():
     basis = build_basis(np.array([[0.0], [1.0]]), 0, leaf_size=2)
-    t = basis.transforms[basis.tree.root.index]
+    root = basis.tree.root.index
+    q = basis.groups[basis.group[root]].q[basis.position[root]]
+    assert (basis.n_in[root], basis.n_sc[root]) == (2, 1)
     s = 1 / np.sqrt(2)
-    np.testing.assert_allclose(t.q_phi[:, 0], [s, s], atol=1e-15)
-    np.testing.assert_allclose(t.q_sigma[:, 0], [s, -s], atol=1e-15)
-    assert abs(t.q_sigma[:, 0].sum()) < 1e-14  # vanishing moment for constants
+    np.testing.assert_allclose(q[:, 0], [s, s], atol=1e-15)  # scaling
+    np.testing.assert_allclose(q[:, 1], [s, -s], atol=1e-15)  # samplet
+    assert abs(q[:, 1].sum()) < 1e-14  # vanishing moment for constants
 
 
 def test_transform_blocks_orthonormal():
     rng = np.random.default_rng(1)
     basis = build_basis(rng.random((50, 2)), 2)
-    for t in basis.transforms:
-        q = np.hstack([t.q_phi, t.q_sigma])
-        np.testing.assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+    for g in basis.groups:
+        eye = np.eye(g.q.shape[-1])
+        np.testing.assert_allclose(g.q.transpose(0, 2, 1) @ g.q - eye, 0, atol=1e-12)
 
 
 def test_increasing_vanishing_moments_with_carried_degree():
@@ -114,7 +116,7 @@ def test_3d_samplet_count():
     rng = np.random.default_rng(3)
     basis = build_basis(rng.random((256, 3)), 3)
     assert moment_count(3, 3) == 20
-    total_samplets = sum(t.n_samplets for t in basis.transforms)
+    total_samplets = (basis.n_in - basis.n_sc).sum()
     assert total_samplets == 256 - 20
     assert basis.n_scaling == 20
 
@@ -143,7 +145,7 @@ def test_support_locality():
     assert np.all(levels[: basis.n_scaling] == -1)
     for c in basis.tree.clusters:
         lo, hi = basis.samplet_slots(c)
-        assert hi - lo == basis.transforms[c.index].n_samplets
+        assert hi - lo == basis.n_in[c.index] - basis.n_sc[c.index]
         assert np.all(levels[lo:hi] == c.level)
         assert basis.stored_slots(c) == (0 if c is basis.tree.root else lo, hi)
         inside = basis.tree.original_indices(c)
@@ -160,8 +162,8 @@ def test_weight_matrix_matches_dense_rows():
     W = cluster_weight_matrix(basis, c)
     lo, hi = basis.samplet_slots(c)
     cols = basis.tree.permutation[c.start : c.stop]
-    t = basis.transforms[c.index]
-    np.testing.assert_allclose(W[:, t.n_scaling :].T, T[lo:hi][:, cols], atol=1e-13)
+    n_sc = basis.n_sc[c.index]
+    np.testing.assert_allclose(W[:, n_sc:].T, T[lo:hi][:, cols], atol=1e-13)
 
 
 def test_coefficient_decay_for_smooth_data():
@@ -192,15 +194,14 @@ def test_rank_deficient_duplicate_points():
 
 def test_construction_cost_roughly_linear():
     rng = np.random.default_rng(9)
-    times = []
-    for n in (2**13, 2**14):
-        pts = rng.random((n, 2))
-        best = np.inf
-        for _ in range(3):
+    clouds = [rng.random((n, 2)) for n in (2**13, 2**14)]
+    # the sizes take turns, so a slow spell of the host hits them all
+    times = [np.inf] * len(clouds)
+    for _ in range(3):
+        for k, pts in enumerate(clouds):
             t0 = time.perf_counter()
             build_basis(pts, 1, leaf_size=32)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
+            times[k] = min(times[k], time.perf_counter() - t0)
     assert times[1] / times[0] <= 2.5
 
 
@@ -279,7 +280,7 @@ def test_level_groups_hold_each_transform_once(leaf_size):
     levels = [g.level for g in basis.groups]
     assert levels == sorted(levels, reverse=True)
     explicit = []
-    for g in basis.groups:
+    for k, g in enumerate(basis.groups):
         n_in = g.gather.shape[1]
         r = min(n_in, moment_count(degree, 3))
         explicit.append(n_in**2 <= r * (2 * n_in + r))
@@ -287,11 +288,11 @@ def test_level_groups_hold_each_transform_once(leaf_size):
         assert (g.ut is None) == explicit[-1] == (g._q is not None)
         assert g.q.shape == (len(g.index), n_in, n_in)
         assert g.scatter.shape == g.gather.shape
-        for k, i in enumerate(g.index.tolist()):
-            t = basis.transforms[i]
-            assert basis.tree.clusters[i].level == g.level
-            assert t.n_scaling == g.n_scaling
-            assert np.shares_memory(t.q, g.q) and np.array_equal(t.q, g.q[k])
+        assert (basis.group[g.index] == k).all()
+        assert basis.position[g.index].tolist() == list(range(len(g.index)))
+        assert (basis.tree.level[g.index] == g.level).all()
+        assert (basis.n_in[g.index] == n_in).all()
+        assert (basis.n_sc[g.index] == g.n_scaling).all()
         x = rng.standard_normal(g.gather.shape + (2,))
         # both may overwrite their input
         qt_x, q_x = g.q.transpose(0, 2, 1) @ x, g.q @ x

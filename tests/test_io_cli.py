@@ -154,7 +154,7 @@ def test_pursue_multi_kernel_cli(tmp_path):
         "pursue", str(path), "-o", str(out),
         "--kernel", "matern(nu=1/2,l=0.05)",
         "--kernel", "matern(nu=1/2,l=0.2)",
-        "--weight", "0.2", "-q", "1", "--max-iter", "300",
+        "--weight", "0.2", "-q", "1", "--max-iter", "300", "--rescale-unit-box",
     ])
     assert code == 0
     report = (tmp_path / "sol.report.csv").read_text().splitlines()
@@ -162,6 +162,7 @@ def test_pursue_multi_kernel_cli(tmp_path):
     for i in range(2):
         slots, meta = read_coefficients(tmp_path / f"sol.k{i}.csv")
         assert len(slots) == 100
+        assert len(meta["rescale_offset"]) == 2 and meta["rescale_scale"] > 0
 
 
 def test_subsample_reproducible(cloud_csv, tmp_path):
@@ -173,6 +174,18 @@ def test_subsample_reproducible(cloud_csv, tmp_path):
     assert a.read_bytes() == b.read_bytes()
     idx = [int(x) for x in a.read_text().splitlines()[1:]]
     assert len(idx) == 40 and len(set(idx)) == 40
+
+
+def test_seed_only_where_read(cloud_csv, tmp_path, capsys):
+    # only subsample draws random numbers; elsewhere --seed is refused
+    path, _, _ = cloud_csv
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "assemble", str(path), "-o", str(tmp_path / "m.smpb"),
+            "--kernel", "matern(nu=1/2,l=0.1)", "--seed", "99",
+        ])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_coarsen_and_report_commands(cloud_csv, tmp_path):

@@ -125,36 +125,39 @@ def test_matrix_valued_transform_consistent(basis512):
 def _sweep_reference(basis, values):
     """Per-cluster forward and inverse sweeps over the tree; `values` is read
     both as point values and as coefficient slots."""
-    tree = basis.tree
+    tree, n_sc = basis.tree, basis.n_sc
+
+    def q(c):  # c's transform, from the basis table
+        return basis.groups[basis.group[c.index]].q[basis.position[c.index]]
+
     values = np.asarray(values, dtype=float)
     work = values[tree.permutation]
     coeffs = np.empty_like(work)
     scaling = {}
     for cluster in sorted(tree.clusters, key=lambda c: -c.level):
-        t = basis.transforms[cluster.index]
+        t, k = q(cluster), n_sc[cluster.index]
         if cluster.is_leaf:
             x = work[cluster.start : cluster.stop]
         else:
             x = np.concatenate([scaling.pop(c.index) for c in cluster.children])
-        scaling[cluster.index] = t.q_phi.T @ x
+        scaling[cluster.index] = t[:, :k].T @ x
         lo, hi = basis.samplet_slots(cluster)
-        coeffs[lo:hi] = t.q_sigma.T @ x
+        coeffs[lo:hi] = t[:, k:].T @ x
     coeffs[: basis.n_scaling] = scaling[tree.root.index]
 
     back = np.empty_like(work)
     stack = [(tree.root, values[: basis.n_scaling])]
     while stack:
         cluster, phi = stack.pop()
-        t = basis.transforms[cluster.index]
+        t, k = q(cluster), n_sc[cluster.index]
         lo, hi = basis.samplet_slots(cluster)
-        x = t.q_phi @ phi + t.q_sigma @ values[lo:hi]
+        x = t[:, :k] @ phi + t[:, k:] @ values[lo:hi]
         if cluster.is_leaf:
             back[cluster.start : cluster.stop] = x
         else:
             for c in cluster.children:
-                n_sc = basis.transforms[c.index].n_scaling
-                stack.append((c, x[:n_sc]))
-                x = x[n_sc:]
+                stack.append((c, x[: n_sc[c.index]]))
+                x = x[n_sc[c.index] :]
     inverse = np.empty_like(back)
     inverse[tree.permutation] = back
     return coeffs, inverse
