@@ -35,16 +35,20 @@ from .solvers import (
 )
 from .transform import CoefficientVector, forward_transform, inverse_transform
 
-COMMANDS = (
-    "transform",
-    "compress",
-    "coarsen",
-    "subsample",
-    "assemble",
-    "interpolate",
-    "pursue",
-    "report",
-)
+_COMMON = ("points", "output", "moment_degree", "carry_degree", "leaf_size", "rescale")
+_KERNEL = ("kernels", "eta", "interp_degree")
+# the RunSpec fields each command takes, as its parser defines them
+_TAKES = {
+    "transform": _COMMON + ("inverse", "coeffs"),
+    "compress": _COMMON + ("thresholds",),
+    "coarsen": _COMMON + ("epsilon",),
+    "subsample": _COMMON + ("epsilon", "n", "seed"),
+    "assemble": _COMMON + _KERNEL,
+    "interpolate": _COMMON + _KERNEL + ("ridge", "tol", "max_iter", "dense"),
+    "pursue": _COMMON + _KERNEL + ("weight", "step", "tol", "max_iter"),
+    "report": _COMMON + _KERNEL,
+}
+COMMANDS = tuple(_TAKES)
 
 
 @dataclass
@@ -97,11 +101,11 @@ class RunSpec:
         return cls(**data)
 
 
-def _echo(spec: RunSpec, **extras):
-    pairs = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    pairs.update(extras)
-    line = " ".join(f"{k}={v}" for k, v in pairs.items() if v not in (None, ()))
-    print(f"# samplets {line}", file=sys.stderr)
+def _echo(spec: RunSpec):
+    """The command and the parameters it takes, to stderr."""
+    pairs = [(k, getattr(spec, k)) for k in _TAKES[spec.command]]
+    line = " ".join(f"{k}={v}" for k, v in pairs if v not in (None, ()))
+    print(f"# samplets command={spec.command} {line}", file=sys.stderr)
 
 
 def _load_cloud(spec: RunSpec, need_values=False):

@@ -195,8 +195,9 @@ class _StackedOperator:
         return np.concatenate([_rmatvec(block, r) for block in self.blocks])
 
 
-def _power_step_bound(op, n_total, iters=30, seed=0):
-    """0.9 / lambda_max(K^T K) estimated by power iteration."""
+def _power_lambda_max(op, n_total, iters=30, seed=0):
+    """lambda_max(K^T K) estimated by power iteration; 0.0 for a zero
+    operator."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n_total)
     v /= np.linalg.norm(v)
@@ -205,9 +206,14 @@ def _power_step_bound(op, n_total, iters=30, seed=0):
         w = op.apply_adjoint(op.apply(v))
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
-            return 1.0
+            break
         v = w / lam
-    return 0.9 / lam
+    return lam
+
+
+def _objective(r, w, beta):
+    """0.5 * ||r||^2 + sum(w * |beta|) for the residual r = data - K beta."""
+    return 0.5 * float(r @ r) + float(w @ np.abs(beta))
 
 
 def pursuit_objective(p: PursuitProblem, beta) -> float:
@@ -218,8 +224,7 @@ def pursuit_objective(p: PursuitProblem, beta) -> float:
     op = _StackedOperator(p.dictionary, n)
     beta = _as_array(beta)
     w = np.broadcast_to(np.asarray(p.weights, dtype=float), beta.shape)
-    r = h - op.apply(beta)
-    return 0.5 * float(r @ r) + float(w @ np.abs(beta))
+    return _objective(h - op.apply(beta), w, beta)
 
 
 def solve_pursuit(p: PursuitProblem) -> PursuitResult:
@@ -229,7 +234,9 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
     implied by the shrinkage kink; a step is accepted only if the objective
     does not increase, otherwise one plain fixed-point (soft-shrinkage
     gradient) step is taken.  Stops when the fixed-point residual drops
-    below tol; raises SolverError with the residual trace otherwise.
+    below tol; raises SolverError with the residual trace otherwise.  Each
+    iterate's residual h - K beta is formed once and gives both its
+    gradient and its objective.
     """
     if not p.dictionary:
         raise ValueError("dictionary must not be empty")
@@ -238,11 +245,13 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
     L = len(p.dictionary)
     total = L * n
     op = _StackedOperator(p.dictionary, n)
-    w = np.broadcast_to(np.asarray(p.weights, dtype=float), (total,)).copy()
+    # not copied: the objective then dots the weights as pursuit_objective
+    # does, to the same bits
+    w = np.broadcast_to(np.asarray(p.weights, dtype=float), (total,))
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    lam_max = 0.9 / _power_step_bound(op, total)
-    gamma = p.step if p.step is not None else 0.9 / lam_max
+    lam_max = _power_lambda_max(op, total)
+    gamma = p.step if p.step is not None else (0.9 / lam_max if lam_max else 1.0)
     if gamma <= 0:
         raise ValueError("step must be positive")
     tol = p.tol if p.tol is not None else 1e-8 * (1.0 + np.linalg.norm(h))
@@ -254,6 +263,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
 
     beta = np.zeros(total)
     grad = kth.copy()  # K^T (h - K beta) at beta = 0
+    obj = _objective(h, w, beta)  # the residual at beta = 0 is h
     trace = []
     objective_trace = []
     iterations = 0
@@ -290,20 +300,22 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
             newton[support] = xs
         accepted = False
         if newton is not None:
-            obj_cur = pursuit_objective(p, beta)
             direction = newton - beta
             t = 1.0
             for _ in range(10):  # damped steps keep the objective non-increasing
                 candidate = beta + t * direction
-                if pursuit_objective(p, candidate) <= obj_cur:
+                r = h - op.apply(candidate)
+                if _objective(r, w, candidate) <= obj:
                     beta = candidate
                     accepted = True
                     break
                 t *= 0.5
         if not accepted:
             beta = soft_shrink(z, gamma * w)
-        grad = op.apply_adjoint(h - op.apply(beta))
-        objective_trace.append(pursuit_objective(p, beta))
+            r = h - op.apply(beta)
+        grad = op.apply_adjoint(r)
+        obj = _objective(r, w, beta)
+        objective_trace.append(obj)
     else:
         z = beta + gamma * grad
         res = float(np.linalg.norm(beta - soft_shrink(z, gamma * w)))
@@ -326,7 +338,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
         stacked=beta,
         residual=res,
         iterations=iterations + 1,
-        objective=pursuit_objective(p, beta),
+        objective=obj,
         nnz=[int(np.count_nonzero(part)) for part in parts],
         trace=trace,
         objective_trace=objective_trace,

@@ -188,6 +188,34 @@ def test_seed_only_where_read(cloud_csv, tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+def test_echo_names_only_parameters_the_command_takes(cloud_csv, tmp_path, capsys):
+    path, _, _ = cloud_csv
+    assert main([
+        "assemble", str(path), "-o", str(tmp_path / "m.smpb"), "--kernel",
+        "matern(nu=1/2,l=0.1)", "-q", "1", "--degree", "4",
+    ]) == 0
+    echo = next(
+        line for line in capsys.readouterr().err.splitlines()
+        if line.startswith("# samplets ")
+    )
+    keys = {pair.split("=", 1)[0] for pair in echo[len("# samplets "):].split()}
+    assert keys == {
+        "command", "points", "output", "moment_degree", "rescale", "kernels", "eta",
+        "interp_degree",
+    }
+
+
+@pytest.mark.parametrize("command", samplets.cli.COMMANDS)
+def test_echoed_parameters_are_the_parsers(command):
+    argv = [command, "pts.csv"]
+    if command in ("assemble", "interpolate", "pursue", "report"):
+        argv += ["--kernel", "gauss(l=1)"]
+    if command == "subsample":
+        argv += ["-n", "1"]
+    parsed = vars(samplets.cli._parser().parse_args(argv))
+    assert set(parsed) - {"command"} == set(samplets.cli._TAKES[command])
+
+
 def test_coarsen_and_report_commands(cloud_csv, tmp_path):
     path, _, _ = cloud_csv
     out = tmp_path / "tree.csv"

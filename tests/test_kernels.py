@@ -1,8 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 from scipy.special import gamma as gamma_fn
 from scipy.special import kv
 
+import samplets
 from samplets import (
     Matern,
     PeriodicGaussian,
@@ -11,8 +20,10 @@ from samplets import (
     dense_kernel_matrix,
     kernel_eval,
     kernel_matrix,
+    kernels,
     parse_kernel,
 )
+from samplets.io import write_points
 
 
 def bessel_matern(nu, lengthscale, r):
@@ -86,15 +97,83 @@ def test_dense_kernel_matrix_psd_and_symmetric():
     product = ProductKernel(
         [(Matern(1.5, 0.3), (0, 2)), (PeriodicGaussian(5.0, 1.0), (2, 3))]
     )
-    for spec in (Matern(0.5, 0.2), Matern(np.inf, 0.3), product):
+    for spec in (Matern(0.5, 0.2), Matern(2.5, 0.2), Matern(np.inf, 0.3), product):
         K = dense_kernel_matrix(spec, cloud)
-        np.testing.assert_allclose(K, K.T, atol=1e-15)
-        np.testing.assert_allclose(np.diag(K), 1.0, atol=1e-15)
+        assert np.array_equal(K, K.T)
+        assert np.all(np.diag(K) == 1.0)
         assert np.linalg.eigvalsh(K).min() >= -1e-8 * 64
     # the periodic factor is positive definite on its 1-D (time) axis
     line = PointCloud(rng.random(64)[:, None])
     K = dense_kernel_matrix(PeriodicGaussian(5.0, 1.0), line)
+    assert np.array_equal(K, K.T) and np.all(np.diag(K) == 1.0)
     assert np.linalg.eigvalsh(K).min() >= -1e-8 * 64
+
+
+def _point_stacks(seed, lead, n, m, dim, duplicates, offset, scale):
+    """Two stacks of point sets, (*lead, n, dim) and (*lead, m, dim); with
+    `duplicates` both draw from a few shared sites."""
+    rng = np.random.default_rng(seed)
+    if duplicates:
+        sites = rng.random((3, dim))
+        x = sites[rng.integers(3, size=(*lead, n))]
+        y = sites[rng.integers(3, size=(*lead, m))]
+    else:
+        x, y = rng.random((*lead, n, dim)), rng.random((*lead, m, dim))
+    return offset + scale * x, offset + scale * y
+
+
+point_stacks = st.builds(
+    _point_stacks,
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+    n=st.integers(0, 40),
+    m=st.integers(0, 40),
+    dim=st.integers(1, 6),
+    duplicates=st.booleans(),
+    offset=st.sampled_from([0.0, 1e8]),
+    scale=st.sampled_from([1.0, 1e-9]),
+)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+# one block and one stack of blocks across the default chunk bound
+@example(_point_stacks(1, (), 400, 400, 2, False, 0.0, 1.0), 1 << 17)
+@example(_point_stacks(2, (60,), 49, 49, 3, False, 1e8, 1.0), 1 << 17)
+@given(point_stacks, st.sampled_from([1, 7, 64, 1000, 1 << 17]))
+def test_distances_bit_identical_to_cdist(stacks, chunk):
+    x, y = stacks
+    saved, kernels._CHUNK = kernels._CHUNK, chunk
+    try:
+        r = kernels._distances(x, y)
+    finally:
+        kernels._CHUNK = saved
+    assert r.shape == x.shape[:-1] + y.shape[-2:-1]
+    for k in np.ndindex(x.shape[:-2]):
+        assert np.array_equal(r[k], cdist(x[k], y[k]))
+    if x.shape == y.shape:
+        swapped = kernels._distances(y, x)
+        assert np.array_equal(r, np.swapaxes(swapped, -1, -2))
+
+
+def test_cli_loads_no_unused_scipy_subpackage(tmp_path):
+    # scipy.spatial pulls in scipy.linalg and scipy.special; samplets needs
+    # scipy.sparse only
+    rng = np.random.default_rng(36)
+    write_points(PointCloud(rng.random((60, 2))), tmp_path / "s.csv")
+    script = f"""
+import sys
+import samplets, samplets.cli
+code = samplets.cli.main(["assemble", {str(tmp_path / "s.csv")!r}, "-o",
+                          {str(tmp_path / "m.smpb")!r}, "--kernel", "gauss(l=0.3)"])
+print(code, sorted(m for m in ("scipy.spatial", "scipy.linalg", "scipy.special")
+                   if m in sys.modules))
+"""
+    src = str(Path(samplets.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.split() == ["0", "[]"]
 
 
 def test_dense_guard():

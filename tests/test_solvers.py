@@ -17,7 +17,8 @@ from samplets import (
     solve_pursuit,
     transform_matrix_congruence,
 )
-from samplets.solvers import _StackedOperator, conjugate_gradient
+from samplets import solvers
+from samplets.solvers import _power_lambda_max, _StackedOperator, conjugate_gradient
 from samplets.transform import CoefficientVector
 
 
@@ -195,6 +196,49 @@ def test_pursuit_multi_kernel_stack(dense64):
         assert np.linalg.norm(fp) <= 1e-7 * (1 + np.linalg.norm(h))
     recon = op.apply(res.stacked)
     assert np.linalg.norm(recon - h) < np.linalg.norm(h)
+
+
+def test_power_iteration_estimates_lambda_max(dense64):
+    _, _, K, _ = dense64
+    lam = _power_lambda_max(_StackedOperator([K], 64), 64)
+    assert lam == pytest.approx(np.linalg.norm(K.T @ K, 2), rel=1e-3)
+    assert _power_lambda_max(_StackedOperator([np.zeros((4, 4))], 4), 4) == 0.0
+    res = solve_pursuit(PursuitProblem([np.zeros((4, 4))], np.ones(4), weights=0.1))
+    assert np.all(res.stacked == 0) and res.iterations == 1
+
+
+def test_pursuit_forms_each_residual_once(dense64, monkeypatch):
+    _, _, K, h = dense64
+    problem = PursuitProblem([K], h, weights=1e-3, tol=1e-10, max_iter=200)
+    plain = solve_pursuit(problem)
+    outer, depth = [], [0]
+    apply = _StackedOperator.apply
+
+    def counted(self, beta):
+        if not depth[0]:
+            outer.append(beta.tobytes())
+        return apply(self, beta)
+
+    def nested(fn):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapped
+
+    monkeypatch.setattr(_StackedOperator, "apply", counted)
+    monkeypatch.setattr(solvers, "conjugate_gradient", nested(conjugate_gradient))
+    monkeypatch.setattr(solvers, "_power_lambda_max", nested(_power_lambda_max))
+    res = solve_pursuit(problem)
+    # outside the power iteration and the Newton solves, K is applied once
+    # per iterate or line-search candidate, never twice to one vector
+    assert res.iterations - 1 <= len(outer) == len(set(outer))
+    assert np.array_equal(res.stacked, plain.stacked)
+    assert res.trace == plain.trace
+    assert res.objective_trace == plain.objective_trace
+    assert res.objective == res.objective_trace[-1] == pursuit_objective(problem, res.stacked)
 
 
 def test_pursuit_nonconvergence_error():
