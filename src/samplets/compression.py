@@ -8,7 +8,8 @@ polynomial interpolation on the rest of the fringe, so the whole matrix
 costs loglinear work.  Assembly
 runs one total level at a time, in stacked batches of blocks of one shape
 (one kind of block and one pair of level groups each), and writes the
-stored entries straight into the CSR operator.  Only pairs i <= j are
+stored entries straight into the operator's data: one N x N array where
+they fill at least half of it, CSR otherwise.  Only pairs i <= j are
 computed; each mirror block is stored as the exact transpose, so the
 assembled operator is exactly symmetric.
 """
@@ -155,21 +156,25 @@ def _pattern(tree, eta):
 
 
 class _Layout:
-    """Where each stored block of a pattern lives in the CSR arrays.
+    """Where each stored block of a pattern lives in the operator's data.
 
     The stored blocks `keys` are the pattern's pairs whose clusters both own
-    slots, in ascending (row, col) order.  All rows of row cluster i share
-    one column pattern, the ascending slot ranges of its blocks, so they
-    hold a row-major (width[i], row length) array of the data from
-    `base[i]` on, and block (i, j) takes width[j] of its columns from its
-    column offset on.  `rows` holds, per row cluster with stored blocks, its
-    id, its column clusters and their offsets, as Python ints.  Entry (r, s)
-    of the k-th stored block (i, j) lies at `at[k] + r * stride[i] + s`, and
-    `code` holds the keys as i * clusters + j.
+    slots, in ascending (row, col) order, and `stored` counts their entries.
+    Where they fill at least half of N x N (`dense`), the data is one
+    row-major N x N array, zero off the pattern; otherwise it is the data of
+    a CSR matrix with `indices` and `indptr`.  The rows of row cluster i
+    form a row-major (width[i], stride[i]) array from `base[i]` on: all N
+    columns in the dense form; in the CSR form the ascending slot ranges of
+    its blocks, one column pattern that all its rows share.  Block (i, j)
+    takes width[j] of those columns from its column offset on: slots[j, 0]
+    in the dense form.  `rows` holds, per row cluster with stored blocks,
+    its id, its column clusters and their offsets, as Python ints.  Entry
+    (r, s) of the k-th stored block (i, j) lies at `at[k] + r * stride[i] +
+    s`, and `code` holds the keys as i * clusters + j.
     """
 
     def __init__(self, basis, pattern):
-        slots = basis.slots
+        slots, n = basis.slots, basis.n
         width = slots[:, 1] - slots[:, 0]
         pairs = pattern.pairs
         keys = pairs[(width[pairs[:, 0]] > 0) & (width[pairs[:, 1]] > 0)]
@@ -177,32 +182,53 @@ class _Layout:
         first = np.searchsorted(row, np.arange(len(slots) + 1))  # row i's keys
         ends = np.append(0, np.cumsum(width[col]))
         row_len = ends[first[1:]] - ends[first[:-1]]
-        base = np.append(0, np.cumsum(width * row_len))
-        index = np.int32 if base[-1] < 2**31 else np.int64
         self.pattern = pattern
         self.keys = keys
         self.code = keys @ [len(slots), 1]
-        self.stride = row_len
+        self.slots = slots
+        self.stored = int(width @ row_len)
+        self.dense = 2 * self.stored >= n * n
         self.width = width.tolist()
+        if self.dense:
+            base = np.append(slots[:, 0], n) * n  # the slot ranges tile 0..N
+            self.stride = np.full(len(slots), n)
+            offset = slots[col, 0]
+            self.size = n * n
+        else:
+            base = np.append(0, np.cumsum(width * row_len))
+            index = np.int32 if base[-1] < 2**31 else np.int64
+            self.stride = row_len
+            offset = ends[:-1] - ends[first[row]]
+            self.size = self.stored
+            self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
+            self.indices = np.empty(self.stored, dtype=index)
+            cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
         self.base = base.tolist()
-        self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
-        self.indices = np.empty(base[-1], dtype=index)
-        cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
-        offset = ends[:-1] - ends[first[row]]
         self.at = base[row] + offset
         self.rows = []
         for i in np.flatnonzero(width * row_len).tolist():
             k0, k1 = first[i], first[i + 1]
-            self.row(self.indices, i)[...] = cols[ends[k0] : ends[k1]]
+            if not self.dense:
+                self.row(self.indices, i)[...] = cols[ends[k0] : ends[k1]]
             self.rows.append((i, col[k0:k1].tolist(), offset[k0:k1].tolist()))
 
     def row(self, data, i):
-        """Row cluster i's part of a CSR array, a (width[i], row length) view."""
+        """Row cluster i's part of the data, a (width[i], stride[i]) view."""
         return data[self.base[i] : self.base[i + 1]].reshape(self.width[i], -1)
+
+    def slab(self, cols):
+        """The columns of a row cluster's part that hold its blocks with the
+        column clusters `cols`, in their order: all of them in the CSR form,
+        the clusters' slot ranges in the dense form."""
+        if not self.dense:
+            return slice(None)
+        lo, hi = self.slots[cols].T
+        w = hi - lo
+        return np.arange(w.sum()) + np.repeat(lo - (np.cumsum(w) - w), w)
 
     def place(self, data, i, j, blocks):
         """Write a stack of stored blocks (i, j), arrays of pair ids, and
-        their mirrors (j, i) as exact transposes into CSR data."""
+        their mirrors (j, i) as exact transposes into the data."""
         n = len(self.width)
         at = self.at[np.searchsorted(self.code, [i * n + j, j * n + i])]
         r, s = np.indices(blocks.shape[1:]).reshape(2, -1)
@@ -214,11 +240,12 @@ class _Layout:
 class CompressedKernelMatrix:
     """Samplet-coordinate kernel matrix restricted to the retained pattern.
 
-    `csr` holds every stored entry, explicit zeros included, where `layout`
+    `data` holds every stored entry, explicit zeros included, where `layout`
     places it: block (i, j) covers the stored slots of cluster pairs (i, j)
     (the root block also covers the coarse scaling slots), and `blocks`
-    views it per pair.  Symmetric kernels give a symmetric pattern with
-    transposed mirror blocks.
+    views it per pair.  `op` is the operator over `data`, an N x N array
+    or a CSR matrix as the layout's form is dense or not.  Symmetric kernels
+    give a symmetric pattern with transposed mirror blocks.
     """
 
     def __init__(self, basis, layout, data):
@@ -226,16 +253,20 @@ class CompressedKernelMatrix:
         self.layout = layout
         self.pattern = layout.pattern
         self.n = basis.n
-        self.csr = scipy.sparse.csr_array(
-            (data, layout.indices, layout.indptr), shape=(self.n, self.n)
-        )
+        self.data = data
+        if layout.dense:
+            self.op = data.reshape(self.n, self.n)
+        else:
+            self.op = scipy.sparse.csr_array(
+                (data, layout.indices, layout.indptr), shape=(self.n, self.n)
+            )
 
     @cached_property
     def blocks(self):
         """Read-only (i, j) -> block mapping in ascending key order.  Each
-        block is a view into the CSR data, so writing to it changes the
+        block is a view into the data, so writing to it changes the
         operator."""
-        layout, data = self.layout, self.csr.data
+        layout, data = self.layout, self.data
         views = {}
         for i, cols, offsets in layout.rows:
             rows = layout.row(data, i)
@@ -245,7 +276,7 @@ class CompressedKernelMatrix:
 
     @property
     def nnz(self):
-        return int(np.count_nonzero(self.csr.data))
+        return int(np.count_nonzero(self.data))
 
     def matvec(self, v):
         wrap = isinstance(v, CoefficientVector)
@@ -254,7 +285,7 @@ class CompressedKernelMatrix:
         arr = v.slots if wrap else np.asarray(v, dtype=float)
         if arr.shape != (self.n,):
             raise ValueError(f"dim mismatch: expected ({self.n},), got {arr.shape}")
-        out = self.csr @ arr
+        out = self.op @ arr
         return CoefficientVector(out, self.basis) if wrap else out
 
     __matmul__ = matvec
@@ -262,7 +293,7 @@ class CompressedKernelMatrix:
     def to_dense(self, guard: int = 8192) -> np.ndarray:
         if self.n > guard:
             raise ValueError(f"dense guard exceeded: {self.n} > {guard}")
-        return self.csr.toarray()
+        return self.op.copy() if self.layout.dense else self.op.toarray()
 
     @property
     def shape(self):
@@ -284,7 +315,7 @@ def compress_assemble(
     each: as W_a^T K(P_a, P_b) W_b from its clusters' point weights where
     that costs no more than on Chebyshev grids, by interpolation on the
     grids otherwise.  Everything beyond the fringe is never materialized,
-    and stored entries go straight into the CSR data.
+    and stored entries go straight into the operator's data.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -364,7 +395,7 @@ def compress_assemble(
         step = np.where(direct, 1, n_in[c])
         return flat[base[..., None] + step[..., None] * np.arange(n_in[f[0, 0]])]
 
-    data = np.empty(len(layout.indices))
+    data = np.zeros(layout.size)
     for lev in range(2 * tree.depth, -1, -1):
         now = total == lev
         a, b, kinds = i[now], j[now], kind[now]
@@ -421,12 +452,17 @@ def add_compressed(
     a: CompressedKernelMatrix, b: CompressedKernelMatrix
 ) -> CompressedKernelMatrix:
     """Blockwise sum; both operands must share a basis.  The pattern of the
-    larger eta holds both operands' patterns, so it is their union."""
+    larger eta holds both operands' patterns, so it is their union, and its
+    form is dense where either operand's is."""
     if a.basis is not b.basis:
         raise ValueError("basis mismatch: operands built over different bases")
     layout = _Layout(a.basis, _pattern(a.basis.tree, max(a.pattern.eta, b.pattern.eta)))
-    rows = np.repeat(np.arange(a.n), np.diff(layout.indptr))
-    data = (a.csr + b.csr)[rows, layout.indices]
+    total = a.op + b.op
+    if layout.dense:
+        data = total.ravel()
+    else:
+        rows = np.repeat(np.arange(a.n), np.diff(layout.indptr))
+        data = total[rows, layout.indices]
     return CompressedKernelMatrix(a.basis, layout, data)
 
 
@@ -465,24 +501,24 @@ _PREAMBLE = 36  # magic plus the "<IQIdQ" header
 _BLOCK_HEADER = 32
 
 
-def _file_words(width, i, cols, offsets):
-    """Row cluster i's part of an SMPB file, with column clusters `cols` at
-    `offsets`, as 8-byte words: the words of its block headers (row, col,
-    rows, cols), their values, the word holding each entry of its (width[i],
-    row length) slab, and the word count."""
+def _file_words(width, i, cols):
+    """Row cluster i's part of an SMPB file, with column clusters `cols`, as
+    8-byte words: the words of its block headers (row, col, rows, cols),
+    their values, the word holding each entry of its (width[i], row length)
+    slab of the blocks side by side, and the word count."""
     w = width[cols]
     entries = width[i] * w
     start = np.cumsum(4 + entries) - entries  # each block's first entry
     header = np.stack([np.full_like(w, i), cols, np.full_like(w, width[i]), w], 1)
-    # slab entry (r, s) is word start + r * w + s - offset of its block
-    at = np.repeat(start - offsets, w) + np.arange(w.sum())
+    # slab entry (r, s) is word start + r * w + s - slab offset of its block
+    at = np.repeat(start - (np.cumsum(w) - w), w) + np.arange(w.sum())
     at = at + np.arange(width[i])[:, None] * np.repeat(w, w)
     return start[:, None] + np.arange(-4, 0), header, at, start[-1] + entries[-1]
 
 
 def save_compressed(m: CompressedKernelMatrix, path):
     """Write the documented binary container (little-endian, 8-byte floats),
-    each row cluster's blocks with one scatter."""
+    each row cluster's blocks with one gather and one scatter."""
     layout = m.layout
     width = np.array(layout.width)
     with open(path, "wb") as fh:
@@ -497,11 +533,11 @@ def save_compressed(m: CompressedKernelMatrix, path):
                 len(layout.keys),
             )
         )
-        for i, cols, offsets in layout.rows:
-            heads, header, at, size = _file_words(width, i, cols, offsets)
+        for i, cols, _ in layout.rows:
+            heads, header, at, size = _file_words(width, i, cols)
             words = np.empty(size, "<u8")
             words[heads] = header
-            words.view("<f8")[at] = layout.row(m.csr.data, i)
+            words.view("<f8")[at] = layout.row(m.data, i)[:, layout.slab(cols)]
             fh.write(words)
 
 
@@ -527,7 +563,7 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
         layout = _Layout(basis, _pattern(basis.tree, eta))
         stored = len(layout.keys)
         size = os.fstat(fh.fileno()).st_size
-        expected = _PREAMBLE + _BLOCK_HEADER * stored + 8 * len(layout.indices)
+        expected = _PREAMBLE + _BLOCK_HEADER * stored + 8 * layout.stored
         if (n_blocks, size) != (stored, expected):
             raise ValueError(
                 f"{n_blocks} blocks in {size} bytes: the file is truncated or does "
@@ -535,9 +571,9 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 "on this basis"
             )
         width = np.array(layout.width)
-        data = np.empty(len(layout.indices))
-        for i, cols, offsets in layout.rows:
-            heads, want, at, count = _file_words(width, i, cols, offsets)
+        data = np.zeros(layout.size)
+        for i, cols, _ in layout.rows:
+            heads, want, at, count = _file_words(width, i, cols)
             words = np.frombuffer(fh.read(8 * count), "<u8")
             got = words[heads]
             if (got != want).any():
@@ -546,5 +582,5 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                     f"block (row, col, rows, cols) = {tuple(got[k].tolist())} does "
                     f"not match the basis, which gives {tuple(want[k].tolist())}"
                 )
-            layout.row(data, i)[...] = words.view("<f8")[at]
+            layout.row(data, i)[:, layout.slab(cols)] = words.view("<f8")[at]
     return CompressedKernelMatrix(basis, layout, data)

@@ -66,17 +66,34 @@ class Matern:
         self.lengthscale = float(lengthscale)
 
     def profile(self, r):
-        s = np.asarray(r, dtype=float) / self.lengthscale
+        s = np.array(r, dtype=float)
+        return self._overwrite(s.ravel()).reshape(s.shape)[()]
+
+    def _overwrite(self, s):
+        """The profile at the distances s, computed in s and at most two
+        temporaries.  With s = r / l: exp(-s), (1 + c s) exp(-c s) for
+        nu = 3/2 (c = sqrt 3), (1 + c s + 5/3 s s) exp(-c s) for nu = 5/2
+        (c = sqrt 5) and exp(-0.5 s s), each with the operations in that
+        order, so the bits do not depend on where they are computed."""
+        np.divide(s, self.lengthscale, out=s)
         if self.nu == 0.5:
-            return np.exp(-s)
-        if self.nu == 1.5:
-            return (1.0 + _SQRT3 * s) * np.exp(-_SQRT3 * s)
+            return np.exp(np.negative(s, out=s), out=s)
+        if self.nu == np.inf:
+            e = np.multiply(s, -0.5)
+            return np.exp(np.multiply(e, s, out=e), out=e)
         if self.nu == 2.5:
-            return (1.0 + _SQRT5 * s + 5.0 / 3.0 * s * s) * np.exp(-_SQRT5 * s)
-        return np.exp(-0.5 * s * s)
+            square = np.multiply(s, 5.0 / 3.0)
+            square *= s
+        np.multiply(s, _SQRT3 if self.nu == 1.5 else _SQRT5, out=s)
+        e = np.negative(s)
+        np.exp(e, out=e)
+        s += 1.0
+        if self.nu == 2.5:
+            s += square
+        return np.multiply(s, e, out=s)
 
     def pairwise(self, x, y):
-        return self.profile(_distances(x, y))
+        return self._overwrite(_distances(x, y))
 
     def __repr__(self):
         nu = "inf" if np.isinf(self.nu) else self.nu
@@ -96,11 +113,20 @@ class PeriodicGaussian:
         self.lengthscale = float(lengthscale)
 
     def profile(self, r):
-        s = np.sin(np.pi * np.asarray(r, dtype=float) / self.lengthscale)
-        return np.exp(-self.scale * s * s)
+        s = np.array(r, dtype=float)
+        return self._overwrite(s.ravel()).reshape(s.shape)[()]
+
+    def _overwrite(self, r):
+        """The profile at the distances r, computed in r and one temporary,
+        with the operations of exp(-scale s s), s = sin(pi r / l), in that
+        order."""
+        np.multiply(r, np.pi, out=r)
+        np.sin(np.divide(r, self.lengthscale, out=r), out=r)
+        e = np.multiply(r, -self.scale)
+        return np.exp(np.multiply(e, r, out=e), out=e)
 
     def pairwise(self, x, y):
-        return self.profile(_distances(x, y))
+        return self._overwrite(_distances(x, y))
 
     def __repr__(self):
         return f"PeriodicGaussian(s={self.scale}, l={self.lengthscale})"

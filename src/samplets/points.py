@@ -18,6 +18,8 @@ class PointCloud:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("empty input")
+        if pts.shape[1] == 0:
+            raise ValueError(f"{pts.shape[0]} sites without coordinates")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain NaN or Inf")
         self.points = pts

@@ -232,9 +232,12 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
 
     Newton steps solve the normal equations restricted to the support
     implied by the shrinkage kink; a step is accepted only if the objective
-    does not increase, otherwise one plain fixed-point (soft-shrinkage
-    gradient) step is taken.  Stops when the fixed-point residual drops
-    below tol; raises SolverError with the residual trace otherwise.  Each
+    does not increase, otherwise one soft-shrinkage gradient step is taken,
+    of the spectral (Barzilai-Borwein) length of the last two iterates,
+    halved back to the fixed-point step until the objective does not
+    increase (SpaRSA, Wright, Nowak & Figueiredo 2009).  Stops when the
+    fixed-point residual drops below tol; raises SolverError with the
+    residual trace otherwise.  Each
     iterate's residual h - K beta is formed once and gives both its
     gradient and its objective.
     """
@@ -267,6 +270,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
     trace = []
     objective_trace = []
     iterations = 0
+    last = None  # the previous iterate and its gradient
     for it in range(p.max_iter):
         iterations = it
         z = beta + gamma * grad
@@ -299,6 +303,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
             newton = np.zeros(total)
             newton[support] = xs
         accepted = False
+        here = beta, grad
         if newton is not None:
             direction = newton - beta
             t = 1.0
@@ -311,8 +316,20 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
                     break
                 t *= 0.5
         if not accepted:
-            beta = soft_shrink(z, gamma * w)
-            r = h - op.apply(beta)
+            step = gamma
+            if last is not None:
+                ds, dg = beta - last[0], last[1] - grad
+                curv = float(ds @ dg)
+                if curv > 0:
+                    step = max(gamma, float(ds @ ds) / curv)
+            while True:
+                candidate = soft_shrink(beta + step * grad, step * w)
+                r = h - op.apply(candidate)
+                if step == gamma or _objective(r, w, candidate) <= obj:
+                    break
+                step = max(gamma, 0.5 * step)
+            beta = candidate
+        last = here
         grad = op.apply_adjoint(r)
         obj = _objective(r, w, beta)
         objective_trace.append(obj)

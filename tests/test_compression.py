@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from samplets import (
     Matern,
@@ -27,6 +28,7 @@ from samplets.compression import (
     ENTRY_DROP,
     _barycentric_eval,
     _chebyshev_axis,
+    _Layout,
     _pattern,
 )
 from samplets.construction import cluster_weight_matrix
@@ -41,6 +43,20 @@ def setup256():
     basis = build_basis(cloud, 3)
     dense = transform_matrix_congruence(basis, dense_kernel_matrix(spec, cloud))
     return cloud, spec, basis, dense
+
+
+@pytest.fixture(scope="module")
+def csr1024():
+    # d=1, q=3: the stored blocks fill 15% of N x N, so the form is CSR
+    basis = build_basis(np.random.default_rng(47).random((1024, 1)), 3)
+    return basis, Matern(0.5, 0.1)
+
+
+@pytest.fixture(scope="module")
+def both_forms(setup256, csr1024):
+    """(basis, spec) on either side of the storage rule: setup256 stores
+    96% of N x N (dense), csr1024 15% (CSR)."""
+    return [(setup256[2], setup256[1]), csr1024]
 
 
 def _box(lo, hi):
@@ -78,22 +94,26 @@ def test_paper_regime_accuracy(setup256):
     assert comp.nnz < 256 * 256
 
 
-def test_block_symmetry(setup256):
-    cloud, spec, basis, dense = setup256
-    comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
-    for (i, j), block in comp.blocks.items():
-        mirror = comp.blocks.get((j, i))
-        assert mirror is not None
-        np.testing.assert_allclose(block, mirror.T, atol=1e-12)
+def test_block_symmetry(both_forms):
+    for basis, spec in both_forms:
+        comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
+        for (i, j), block in comp.blocks.items():
+            mirror = comp.blocks.get((j, i))
+            assert mirror is not None
+            np.testing.assert_allclose(block, mirror.T, atol=1e-12)
 
 
-def test_operator_exactly_symmetric(setup256):
+def test_operator_exactly_symmetric(setup256, csr1024):
     cloud, spec, basis, dense = setup256
     rng = np.random.default_rng(45)
     basis3 = build_basis(rng.random((400, 3)), 2)
-    for b in (basis, basis3):
-        A = compress_assemble(b, spec, eta=1.25, interp_degree=4).to_dense()
+    forms = []
+    for b in (basis, basis3, csr1024[0]):
+        comp = compress_assemble(b, spec, eta=1.25, interp_degree=4)
+        A = comp.to_dense()
         assert np.array_equal(A, A.T)
+        forms.append(comp.layout.dense)
+    assert forms == [True, True, False]
 
 
 def test_matvec_rejects_other_basis(setup256):
@@ -106,21 +126,24 @@ def test_matvec_rejects_other_basis(setup256):
         comp.matvec(other)
 
 
-def test_assembly_memory_released_on_return(setup256):
+def test_assembly_memory_released_on_return(both_forms):
     # without the cycle collector, only reference counting frees memory
-    cloud, spec, basis, dense = setup256
-    gc.collect()
-    gc.disable()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        comp = compress_assemble(basis, spec, eta=1.25, interp_degree=6)
-        held = tracemalloc.get_traced_memory()[0] - base
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    csr = comp.csr
-    assert held <= 2 * (csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes)
+    for basis, spec in both_forms:
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            comp = compress_assemble(basis, spec, eta=1.25, interp_degree=6)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # the storage arrays: the data, and the CSR index arrays if any
+        stored = [comp.data]
+        if not comp.layout.dense:
+            stored += [comp.op.indices, comp.op.indptr]
+        assert held <= 2 * sum(a.nbytes for a in stored)
 
 
 def test_matvec_within_certified_error(setup256):
@@ -268,6 +291,58 @@ def test_add_compressed(setup256):
         add_compressed(a, c2)
 
 
+def test_add_compressed_csr_and_mixed_forms(csr1024):
+    basis, spec = csr1024
+    a = compress_assemble(basis, spec, eta=1.25, interp_degree=5)
+    b = compress_assemble(basis, Matern(1.5, 0.2), eta=1.25, interp_degree=5)
+    both = add_compressed(a, b)
+    assert not (a.layout.dense or both.layout.dense)
+    assert np.array_equal(both.to_dense(), a.to_dense() + b.to_dense())
+    assert np.array_equal(add_compressed(a, a).to_dense(), 2 * a.to_dense())
+    # N=512, d=2, q=1: 41.5% of N x N at eta 1.0 (CSR), 53.7% at 1.5 (dense)
+    mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
+    lo = compress_assemble(mixed, spec, eta=1.0, interp_degree=5)
+    hi = compress_assemble(mixed, Matern(1.5, 0.2), eta=1.5, interp_degree=5)
+    assert (lo.layout.dense, hi.layout.dense) == (False, True)
+    for total in (add_compressed(lo, hi), add_compressed(hi, lo)):
+        assert total.layout.dense and total.pattern.eta == 1.5
+        np.testing.assert_array_equal(total.pattern.pairs, hi.pattern.pairs)
+        assert np.array_equal(total.to_dense(), lo.to_dense() + hi.to_dense())
+
+
+def test_storage_form_follows_stored_share(setup256, csr1024):
+    # dense exactly where the stored entries S fill half of N x N: 2 S >= N^2
+    def grid_cloud(m):  # one site per cell of an m x m grid, like the workloads
+        rng = np.random.default_rng(17)
+        cells = np.stack(np.meshgrid(np.arange(m), np.arange(m)), -1).reshape(-1, 2)
+        return (cells + 0.1 + 0.8 * rng.random(cells.shape)) / m
+
+    clouds = [
+        (setup256[2], 1.25, True),  # 96%
+        (csr1024[0], 1.25, False),  # 15%
+        (build_basis(grid_cloud(32), 3), 1.25, True),  # N=1024 grid, 67%
+        (build_basis(np.random.default_rng(47).random((1024, 2)), 1), 1.25, False),
+    ]
+    mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
+    clouds += [(mixed, 1.0, False), (mixed, 1.5, True)]  # 41.5%, 53.7%
+    for basis, eta, dense in clouds:
+        layout = _Layout(basis, _pattern(basis.tree, eta))
+        stored = _pattern_nnz(basis, eta)
+        assert layout.stored == stored
+        assert layout.dense == (2 * stored >= basis.n**2) == dense
+        assert layout.size == (basis.n**2 if dense else stored)
+
+
+def test_matvec_matches_csr_product_of_same_entries(both_forms):
+    for basis, spec in both_forms:
+        comp = compress_assemble(basis, spec, eta=1.25, interp_degree=5)
+        ref = scipy.sparse.csr_array(comp.to_dense())
+        for v in np.random.default_rng(49).standard_normal((4, basis.n)):
+            want = ref @ v
+            gap = np.linalg.norm(comp.matvec(v) - want)
+            assert gap <= 1e-14 * np.linalg.norm(want)
+
+
 def test_error_report_trends(setup256):
     cloud, spec, basis, dense = setup256
     rows = compression_error_report(basis, spec, 1.25, [1, 2, 3], interp_degree=6)
@@ -305,14 +380,22 @@ def test_nnz_doubling_ratio_loglinear():
         # 20 clusters own no slots, so the pattern holds pairs that store
         # no block
         pytest.param(300, 3, 1, 300, id="empty-slots"),
+        # 15% of N x N: the CSR form
+        pytest.param(1024, 1, 3, 47, id="csr-side"),
     ],
 )
 def test_serialization_round_trip(tmp_path, n, dim, q, seed):
     cloud = PointCloud(np.random.default_rng(seed).random((n, dim)))
     basis = build_basis(cloud, q)
     comp = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=4)
+    assert comp.layout.dense == (n < 1024)
     path = tmp_path / "matrix.smpb"
     save_compressed(comp, path)
+    # the documented layout of the blocks, whatever the in-memory form
+    head = struct.pack("<IQIdQ", 1, n, q, 1.25, len(comp.blocks))
+    words = [np.array([i, j, *b.shape], "<u8").tobytes() + b.astype("<f8").tobytes()
+             for (i, j), b in comp.blocks.items()]
+    assert path.read_bytes() == b"SMPB" + head + b"".join(words)
     loaded = load_compressed(path, basis)
     assert loaded.n == comp.n
     assert loaded.pattern.eta == comp.pattern.eta
@@ -352,21 +435,21 @@ def test_load_rejects_short_header(tmp_path, setup256):
         load_compressed(path, setup256[2])
 
 
-def test_blocks_are_writable_views(tmp_path, setup256):
-    cloud, spec, basis, dense = setup256
-    comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
-    save_compressed(comp, tmp_path / "matrix.smpb")
-    v = np.random.default_rng(46).standard_normal(256)
-    for m in (comp, load_compressed(tmp_path / "matrix.smpb", basis)):
-        assert all(np.shares_memory(b, m.csr.data) for b in m.blocks.values())
-        for (i, j), block in list(m.blocks.items())[:: len(m.blocks) // 7]:
-            before = m.matvec(v)
-            block[-1, 0] += 1.0
-            change = m.matvec(v) - before
-            r, c = basis.slots[i, 1] - 1, basis.slots[j, 0]
-            assert change[r] == pytest.approx(v[c], abs=1e-12)
-            change[r] = 0.0
-            assert np.all(change == 0.0)
+def test_blocks_are_writable_views(tmp_path, both_forms):
+    for basis, spec in both_forms:
+        comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
+        save_compressed(comp, tmp_path / "matrix.smpb")
+        v = np.random.default_rng(46).standard_normal(basis.n)
+        for m in (comp, load_compressed(tmp_path / "matrix.smpb", basis)):
+            assert all(np.shares_memory(b, m.data) for b in m.blocks.values())
+            for (i, j), block in list(m.blocks.items())[:: len(m.blocks) // 7]:
+                before = m.matvec(v)
+                block[-1, 0] += 1.0
+                change = m.matvec(v) - before
+                r, c = basis.slots[i, 1] - 1, basis.slots[j, 0]
+                assert change[r] == pytest.approx(v[c], abs=1e-12)
+                change[r] = 0.0
+                assert np.all(change == 0.0)
 
 
 def _per_pair_assembly(basis, spec, eta, degree):
@@ -500,9 +583,13 @@ def test_high_dimensional_fringe_from_points(monkeypatch):
         return K
 
     monkeypatch.setattr(compression, "kernel_matrix", counting)
-    csr = compress_assemble(basis, spec, 1.25, 4).csr
+    comp = compress_assemble(basis, spec, 1.25, 4)
     assert sum(counted) < n * n
     dense = transform_matrix_congruence(basis, dense_kernel_matrix(spec, cloud))
-    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
-    gap = np.abs(csr.data - dense[rows, csr.indices]).max()
+    # every stored entry against the congruence at its pattern position
+    (r0, r1), (c0, c1) = basis.slots[comp.layout.keys].transpose(1, 2, 0)
+    gap = max(
+        np.abs(block - dense[a:b, c:d]).max()
+        for block, a, b, c, d in zip(comp.blocks.values(), r0, r1, c0, c1)
+    )
     assert gap <= 1e-13 * np.abs(dense).max()

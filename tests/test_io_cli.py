@@ -257,8 +257,16 @@ def test_assemble_reports_stored_block_count(cloud_csv, tmp_path, monkeypatch, c
     ]) == 0
     (matrix,) = saved
     line = capsys.readouterr().err
-    blocks = int(re.search(r"# assembled: n=200 blocks=(\d+) nnz=", line).group(1))
-    assert blocks == len(matrix.blocks) > 0
+    found = re.search(r"# assembled: n=200 blocks=(\d+) nnz=\d+ storage=(\w+)", line)
+    assert int(found.group(1)) == len(matrix.blocks) > 0
+    assert found.group(2) == ("dense" if matrix.layout.dense else "csr") == "dense"
+
+
+def test_sites_without_coordinates_exit_2(tmp_path, capsys):
+    path = tmp_path / "values.csv"
+    path.write_text("value\n1.0\n2.0\n")
+    assert main(["transform", str(path), "-o", str(tmp_path / "c.csv")]) == 2
+    assert "2 sites without coordinates" in capsys.readouterr().err
 
 
 def test_write_coefficients_matches_per_line_writer(tmp_path):

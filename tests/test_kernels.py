@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,37 @@ def test_dense_kernel_matrix_psd_and_symmetric():
     K = dense_kernel_matrix(PeriodicGaussian(5.0, 1.0), line)
     assert np.array_equal(K, K.T) and np.all(np.diag(K) == 1.0)
     assert np.linalg.eigvalsh(K).min() >= -1e-8 * 64
+
+
+def test_profiles_in_place_same_bits_lower_peak():
+    # the closed forms as written before they were evaluated in place, and
+    # the tracemalloc peak they reached at N=1024, in N^2 doubles
+    s3, s5 = np.sqrt(3.0), np.sqrt(5.0)
+    forms = [
+        (Matern(0.5, 0.1), lambda s: np.exp(-s), 4.0),
+        (Matern(1.5, 0.2), lambda s: (1.0 + s3 * s) * np.exp(-s3 * s), 5.0),
+        (Matern(2.5, 0.3),
+         lambda s: (1.0 + s5 * s + 5.0 / 3.0 * s * s) * np.exp(-s5 * s), 5.0),
+        (Matern(np.inf, 0.2), lambda s: np.exp(-0.5 * s * s), 4.0),
+    ]
+    pts = np.random.default_rng(33).random((1024, 2))
+    r = kernels._distances(pts, pts)
+    r[0, 1:4] = [0.0, 5e-324, 1e-300]  # zero, subnormal and tiny distances
+    for spec, form, before in forms + [(PeriodicGaussian(50.0, 1.0), None, 4.0)]:
+        if form is None:
+            s = np.sin(np.pi * r / spec.lengthscale)
+            want = np.exp(-spec.scale * s * s)
+        else:
+            want = form(r / spec.lengthscale)
+        got = spec.profile(r)
+        assert got.tobytes() == want.tobytes()
+        assert spec.profile(0.25) == want.dtype.type(spec.profile(np.array([0.25]))[0])
+        tracemalloc.start()
+        K = dense_kernel_matrix(spec, pts)
+        peak = tracemalloc.get_traced_memory()[1] / (8 * 1024**2)
+        tracemalloc.stop()
+        assert K.tobytes() == spec.profile(kernels._distances(pts, pts)).tobytes()
+        assert peak < before - 1.0
 
 
 def _point_stacks(seed, lead, n, m, dim, duplicates, offset, scale):

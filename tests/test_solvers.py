@@ -8,6 +8,7 @@ from samplets import (
     PursuitProblem,
     SolverError,
     build_basis,
+    compress_assemble,
     dense_kernel_matrix,
     forward_transform,
     inverse_transform,
@@ -196,6 +197,35 @@ def test_pursuit_multi_kernel_stack(dense64):
         assert np.linalg.norm(fp) <= 1e-7 * (1 + np.linalg.norm(h))
     recon = op.apply(res.stacked)
     assert np.linalg.norm(recon - h) < np.linalg.norm(h)
+
+
+def test_two_kernel_pursuit_robust_to_rounding():
+    # the problem of the CLI's two-kernel pursuit test (100 sites, q=1);
+    # perturbing each product by about one ulp moved the iterations of
+    # plain fixed-point fallback steps between 224 and 323
+    rng = np.random.default_rng(64)
+    pts = rng.random((100, 2))
+    cloud = PointCloud(pts / np.ptp(pts, axis=0).max(), np.exp(pts[:, 0]))
+    cloud.points -= cloud.points.min(axis=0)
+    basis = build_basis(cloud, 1)
+    h = forward_transform(basis, cloud.values).slots
+    mats = [
+        compress_assemble(basis, Matern(0.5, l), 1.25, 6).to_dense() for l in (0.05, 0.2)
+    ]
+
+    class Rounded:
+        def __init__(self, A, seed):
+            self.A, self.rng = A, np.random.default_rng(seed)
+
+        def matvec(self, x):
+            y = self.A @ x
+            return y * (1.0 + 1e-16 * self.rng.standard_normal(len(y)))
+
+    for seed in range(4):
+        ops = [Rounded(A, seed) for A in mats]
+        tol = 1e-8 * (1.0 + np.linalg.norm(h))
+        res = solve_pursuit(PursuitProblem(ops, h, weights=0.2, tol=tol, max_iter=300))
+        assert res.residual <= tol
 
 
 def test_power_iteration_estimates_lambda_max(dense64):

@@ -110,6 +110,9 @@ def test_median_ties_go_left_in_order():
 def test_empty_cloud_rejected():
     with pytest.raises(ValueError, match="empty input"):
         PointCloud(np.zeros((0, 2)))
+    # sites need at least one coordinate
+    with pytest.raises(ValueError, match="5 sites without coordinates"):
+        PointCloud(np.zeros((5, 0)))
 
 
 def test_longest_axis_tie_uses_lowest_axis():
