@@ -159,18 +159,22 @@ class _Layout:
     """Where each stored block of a pattern lives in the operator's data.
 
     The stored blocks `keys` are the pattern's pairs whose clusters both own
-    slots, in ascending (row, col) order, and `stored` counts their entries.
-    Where they fill at least half of N x N (`dense`), the data is one
-    row-major N x N array, zero off the pattern; otherwise it is the data of
-    a CSR matrix with `indices` and `indptr`.  The rows of row cluster i
-    form a row-major (width[i], stride[i]) array from `base[i]` on: all N
-    columns in the dense form; in the CSR form the ascending slot ranges of
-    its blocks, one column pattern that all its rows share.  Block (i, j)
-    takes width[j] of those columns from its column offset on: slots[j, 0]
-    in the dense form.  `rows` holds, per row cluster with stored blocks,
-    its id, its column clusters and their offsets, as Python ints.  Entry
+    slots, in ascending (row, col) order; `code` holds them as
+    i * clusters + j, and `stored` counts their entries.  Where those fill
+    at least half of N x N (`dense`), the data is one row-major N x N array,
+    zero off the pattern; otherwise it is the data of a CSR matrix with
+    `indices` and `indptr`.
+
+    The rows of row cluster i form a row-major (width[i], stride[i]) array
+    from `base[i]` on.  In the dense form that is all N columns, and block
+    (i, j) starts at column slots[j, 0].  In the CSR form it is the
+    ascending slot ranges of i's blocks, one column pattern that all its
+    rows share, and each block starts where the one before it ends.  Entry
     (r, s) of the k-th stored block (i, j) lies at `at[k] + r * stride[i] +
-    s`, and `code` holds the keys as i * clusters + j.
+    s`.  `rows` holds, per row cluster with stored blocks, its id, its
+    column clusters and their column offsets, as Python ints, and the
+    columns of its part that hold its blocks side by side in key order
+    (all of them in the CSR form).
     """
 
     def __init__(self, basis, pattern):
@@ -182,10 +186,11 @@ class _Layout:
         first = np.searchsorted(row, np.arange(len(slots) + 1))  # row i's keys
         ends = np.append(0, np.cumsum(width[col]))
         row_len = ends[first[1:]] - ends[first[:-1]]
+        # the slot columns of every row cluster's blocks, side by side
+        cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
         self.pattern = pattern
         self.keys = keys
         self.code = keys @ [len(slots), 1]
-        self.slots = slots
         self.stored = int(width @ row_len)
         self.dense = 2 * self.stored >= n * n
         self.width = width.tolist()
@@ -202,29 +207,20 @@ class _Layout:
             self.size = self.stored
             self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
             self.indices = np.empty(self.stored, dtype=index)
-            cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
         self.base = base.tolist()
         self.at = base[row] + offset
         self.rows = []
         for i in np.flatnonzero(width * row_len).tolist():
             k0, k1 = first[i], first[i + 1]
+            slab = cols[ends[k0] : ends[k1]]
             if not self.dense:
-                self.row(self.indices, i)[...] = cols[ends[k0] : ends[k1]]
-            self.rows.append((i, col[k0:k1].tolist(), offset[k0:k1].tolist()))
+                self.row(self.indices, i)[...] = slab
+                slab = slice(None)
+            self.rows.append((i, col[k0:k1].tolist(), offset[k0:k1].tolist(), slab))
 
     def row(self, data, i):
         """Row cluster i's part of the data, a (width[i], stride[i]) view."""
         return data[self.base[i] : self.base[i + 1]].reshape(self.width[i], -1)
-
-    def slab(self, cols):
-        """The columns of a row cluster's part that hold its blocks with the
-        column clusters `cols`, in their order: all of them in the CSR form,
-        the clusters' slot ranges in the dense form."""
-        if not self.dense:
-            return slice(None)
-        lo, hi = self.slots[cols].T
-        w = hi - lo
-        return np.arange(w.sum()) + np.repeat(lo - (np.cumsum(w) - w), w)
 
     def place(self, data, i, j, blocks):
         """Write a stack of stored blocks (i, j), arrays of pair ids, and
@@ -268,7 +264,7 @@ class CompressedKernelMatrix:
         operator."""
         layout, data = self.layout, self.data
         views = {}
-        for i, cols, offsets in layout.rows:
+        for i, cols, offsets, _ in layout.rows:
             rows = layout.row(data, i)
             for j, o in zip(cols, offsets):
                 views[(i, j)] = rows[:, o : o + layout.width[j]]
@@ -533,11 +529,11 @@ def save_compressed(m: CompressedKernelMatrix, path):
                 len(layout.keys),
             )
         )
-        for i, cols, _ in layout.rows:
+        for i, cols, _, slab in layout.rows:
             heads, header, at, size = _file_words(width, i, cols)
             words = np.empty(size, "<u8")
             words[heads] = header
-            words.view("<f8")[at] = layout.row(m.data, i)[:, layout.slab(cols)]
+            words.view("<f8")[at] = layout.row(m.data, i)[:, slab]
             fh.write(words)
 
 
@@ -572,7 +568,7 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
             )
         width = np.array(layout.width)
         data = np.zeros(layout.size)
-        for i, cols, _ in layout.rows:
+        for i, cols, _, slab in layout.rows:
             heads, want, at, count = _file_words(width, i, cols)
             words = np.frombuffer(fh.read(8 * count), "<u8")
             got = words[heads]
@@ -582,5 +578,5 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                     f"block (row, col, rows, cols) = {tuple(got[k].tolist())} does "
                     f"not match the basis, which gives {tuple(want[k].tolist())}"
                 )
-            layout.row(data, i)[:, layout.slab(cols)] = words.view("<f8")[at]
+            layout.row(data, i)[:, slab] = words.view("<f8")[at]
     return CompressedKernelMatrix(basis, layout, data)
