@@ -188,6 +188,7 @@ class _Layout:
         row_len = ends[first[1:]] - ends[first[:-1]]
         # the slot columns of every row cluster's blocks, side by side
         cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
+        cols = cols.astype(np.int32)  # slot numbers stay below N
         self.pattern = pattern
         self.keys = keys
         self.code = keys @ [len(slots), 1]
