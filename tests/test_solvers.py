@@ -13,6 +13,7 @@ from samplets import (
     forward_transform,
     inverse_transform,
     pursuit_objective,
+    rescale_unit_box,
     soft_shrink,
     solve_interpolation,
     solve_pursuit,
@@ -205,12 +206,12 @@ def test_two_kernel_pursuit_robust_to_rounding():
     # plain fixed-point fallback steps between 224 and 323
     rng = np.random.default_rng(64)
     pts = rng.random((100, 2))
-    cloud = PointCloud(pts / np.ptp(pts, axis=0).max(), np.exp(pts[:, 0]))
-    cloud.points -= cloud.points.min(axis=0)
+    cloud, _, _ = rescale_unit_box(PointCloud(pts, np.exp(pts[:, 0])))
     basis = build_basis(cloud, 1)
     h = forward_transform(basis, cloud.values).slots
     mats = [
-        compress_assemble(basis, Matern(0.5, l), 1.25, 6).to_dense() for l in (0.05, 0.2)
+        compress_assemble(basis, Matern(0.5, ell), 1.25, 6).to_dense()
+        for ell in (0.05, 0.2)
     ]
 
     class Rounded:
