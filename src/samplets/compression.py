@@ -155,6 +155,14 @@ def _pattern(tree, eta):
     return BlockPattern(np.stack(np.divmod(keys, n), axis=1), eta)
 
 
+def _blocks_at(buf, rows, cols, stride):
+    """The (rows, cols) blocks of row stride `stride` in the flat array buf,
+    as a (starts, rows, cols) view indexed by each block's first element."""
+    step = buf.strides[0]
+    starts = len(buf) - (rows - 1) * stride - cols + 1
+    return np.ndarray((starts, rows, cols), buf.dtype, buf, 0, (step, step * stride, step))
+
+
 class _Layout:
     """Where each stored block of a pattern lives in the operator's data.
 
@@ -171,10 +179,7 @@ class _Layout:
     ascending slot ranges of i's blocks, one column pattern that all its
     rows share, and each block starts where the one before it ends.  Entry
     (r, s) of the k-th stored block (i, j) lies at `at[k] + r * stride[i] +
-    s`.  `rows` holds, per row cluster with stored blocks, its id, its
-    column clusters and their column offsets, as Python ints, and the
-    columns of its part that hold its blocks side by side in key order
-    (all of them in the CSR form).
+    s`.
     """
 
     def __init__(self, basis, pattern):
@@ -186,9 +191,6 @@ class _Layout:
         first = np.searchsorted(row, np.arange(len(slots) + 1))  # row i's keys
         ends = np.append(0, np.cumsum(width[col]))
         row_len = ends[first[1:]] - ends[first[:-1]]
-        # the slot columns of every row cluster's blocks, side by side
-        cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
-        cols = cols.astype(np.int32)  # slot numbers stay below N
         self.pattern = pattern
         self.keys = keys
         self.code = keys @ [len(slots), 1]
@@ -208,20 +210,46 @@ class _Layout:
             self.size = self.stored
             self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
             self.indices = np.empty(self.stored, dtype=index)
-        self.base = base.tolist()
         self.at = base[row] + offset
-        self.rows = []
-        for i in np.flatnonzero(width * row_len).tolist():
-            k0, k1 = first[i], first[i + 1]
-            slab = cols[ends[k0] : ends[k1]]
-            if not self.dense:
-                self.row(self.indices, i)[...] = slab
-                slab = slice(None)
-            self.rows.append((i, col[k0:k1].tolist(), offset[k0:k1].tolist(), slab))
+        if not self.dense:
+            start = slots[col, 0, None, None]  # each block's first column
+            for *_, runs in self.pieces():
+                for r, c, s, blocks, at, _ in runs:
+                    _blocks_at(self.indices, r, c, s)[at] = start[blocks] + np.arange(c)
 
-    def row(self, data, i):
-        """Row cluster i's part of the data, a (width[i], stride[i]) view."""
-        return data[self.base[i] : self.base[i + 1]].reshape(self.width[i], -1)
+    def pieces(self):
+        """The stored blocks in key order, in pieces of at most _BATCH_BYTES
+        of SMPB words that split no block: per piece its word count, its
+        blocks' header words and headers (row, col, rows, cols), and its runs
+        of one shape, (rows, cols, data row stride, blocks, `at`, value words)."""
+        width, keys = np.array(self.width), self.keys
+        size = width[keys[:, 0]] * width[keys[:, 1]]
+        end = np.cumsum(size + 4)  # past each block's words
+        cuts = [0]
+        while cuts[-1] < len(end):
+            cap = end[cuts[-1]] - size[cuts[-1]] - 4 + _BATCH_BYTES // 8
+            cuts.append(max(cuts[-1] + 1, int(np.searchsorted(end, cap, "right"))))
+        start = np.append(0, end[np.array(cuts[1:]) - 1])  # each piece's first word
+        head = end - size - 4 - np.repeat(start[:-1], np.diff(cuts))  # in its piece
+        del size, end
+        # one key per block: its piece, its row cluster's (rows, stride) and
+        # its column count; sorted, each piece's runs follow each other
+        radix = int(max(width.max(), self.stride.max())) + 1
+        shapes, kind = np.unique(width * radix + self.stride, return_inverse=True)
+        key = np.repeat(np.arange(len(cuts) - 1) * len(shapes), np.diff(cuts))
+        key = (key + kind[keys[:, 0]]) * radix + width[keys[:, 1]]
+        order = np.argsort(key, kind="stable")
+        bounds = np.flatnonzero(np.diff(key[order], prepend=-1))  # each run's start
+        key = key[order[bounds]]
+        edge = np.searchsorted(key // (len(shapes) * radix), np.arange(len(cuts))).tolist()
+        r, s = np.divmod(shapes[key // radix % len(shapes)], radix)
+        runs = np.stack([r, key % radix, s, bounds, np.append(bounds[1:], len(order))], 1).tolist()
+        at, words = self.at[order], head[order] + 4
+        for p, (k0, k1) in enumerate(zip(cuts, cuts[1:])):
+            part = [(r, c, s, order[a:b], at[a:b], words[a:b])
+                    for r, c, s, a, b in runs[edge[p] : edge[p + 1]]]
+            header = np.concatenate([keys[k0:k1], width[keys[k0:k1]]], axis=1)
+            yield int(start[p + 1] - start[p]), head[k0:k1], header, part
 
     def place(self, data, i, j, blocks):
         """Write a stack of stored blocks (i, j), arrays of pair ids, and
@@ -263,13 +291,12 @@ class CompressedKernelMatrix:
         """Read-only (i, j) -> block mapping in ascending key order.  Each
         block is a view into the data, so writing to it changes the
         operator."""
-        layout, data = self.layout, self.data
-        views = {}
-        for i, cols, offsets, _ in layout.rows:
-            rows = layout.row(data, i)
-            for j, o in zip(cols, offsets):
-                views[(i, j)] = rows[:, o : o + layout.width[j]]
-        return MappingProxyType(views)
+        layout, width, stride = self.layout, self.layout.width, self.layout.stride.tolist()
+        data, step = self.data, self.data.itemsize
+        return MappingProxyType({
+            (i, j): np.ndarray((width[i], width[j]), data.dtype, data, step * at, (step * stride[i], step))
+            for (i, j), at in zip(layout.keys.tolist(), layout.at.tolist())
+        })
 
     @property
     def nnz(self):
@@ -498,26 +525,10 @@ _PREAMBLE = 36  # magic plus the "<IQIdQ" header
 _BLOCK_HEADER = 32
 
 
-def _file_words(width, i, cols):
-    """Row cluster i's part of an SMPB file, with column clusters `cols`, as
-    8-byte words: the words of its block headers (row, col, rows, cols),
-    their values, the word holding each entry of its (width[i], row length)
-    slab of the blocks side by side, and the word count."""
-    w = width[cols]
-    entries = width[i] * w
-    start = np.cumsum(4 + entries) - entries  # each block's first entry
-    header = np.stack([np.full_like(w, i), cols, np.full_like(w, width[i]), w], 1)
-    # slab entry (r, s) is word start + r * w + s - slab offset of its block
-    at = np.repeat(start - (np.cumsum(w) - w), w) + np.arange(w.sum())
-    at = at + np.arange(width[i])[:, None] * np.repeat(w, w)
-    return start[:, None] + np.arange(-4, 0), header, at, start[-1] + entries[-1]
-
-
 def save_compressed(m: CompressedKernelMatrix, path):
-    """Write the documented binary container (little-endian, 8-byte floats),
-    each row cluster's blocks with one gather and one scatter."""
+    """Write the documented binary container (little-endian, 8-byte floats)
+    in bounded pieces, with one gather and one scatter per run of one shape."""
     layout = m.layout
-    width = np.array(layout.width)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(
@@ -530,12 +541,12 @@ def save_compressed(m: CompressedKernelMatrix, path):
                 len(layout.keys),
             )
         )
-        for i, cols, _, slab in layout.rows:
-            heads, header, at, size = _file_words(width, i, cols)
-            words = np.empty(size, "<u8")
-            words[heads] = header
-            words.view("<f8")[at] = layout.row(m.data, i)[:, slab]
-            fh.write(words)
+        for count, heads, headers, runs in layout.pieces():
+            values = np.empty(count, "<f8")
+            _blocks_at(values.view("<u8"), 1, 4, 4)[heads, 0] = headers
+            for r, c, s, _, at, word in runs:
+                _blocks_at(values, r, c, c)[word] = _blocks_at(m.data, r, c, s)[at]
+            fh.write(values)
 
 
 def load_compressed(path, basis) -> CompressedKernelMatrix:
@@ -567,17 +578,16 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 f"not match the {stored} blocks in {expected} bytes of eta={eta} "
                 "on this basis"
             )
-        width = np.array(layout.width)
         data = np.zeros(layout.size)
-        for i, cols, _, slab in layout.rows:
-            heads, want, at, count = _file_words(width, i, cols)
-            words = np.frombuffer(fh.read(8 * count), "<u8")
-            got = words[heads]
+        for count, heads, want, runs in layout.pieces():
+            values = np.frombuffer(fh.read(8 * count), "<f8")
+            got = _blocks_at(values.view("<u8"), 1, 4, 4)[heads, 0]
             if (got != want).any():
                 k = np.flatnonzero((got != want).any(axis=1))[0]
                 raise ValueError(
                     f"block (row, col, rows, cols) = {tuple(got[k].tolist())} does "
                     f"not match the basis, which gives {tuple(want[k].tolist())}"
                 )
-            layout.row(data, i)[:, slab] = words.view("<f8")[at]
+            for r, c, s, _, at, word in runs:
+                _blocks_at(data, r, c, s)[at] = _blocks_at(values, r, c, c)[word]
     return CompressedKernelMatrix(basis, layout, data)

@@ -1,5 +1,6 @@
 import functools
 import gc
+import io
 import itertools
 import struct
 import tracemalloc
@@ -426,6 +427,77 @@ def test_serialization_round_trip(tmp_path, n, dim, q, seed):
     bad.write_bytes(raw[:20] + struct.pack("<d", 0.5) + raw[28:])
     with pytest.raises(ValueError, match="does not match"):
         load_compressed(bad, basis)
+
+
+@pytest.mark.parametrize(
+    "n, dim, q, seed",
+    [
+        pytest.param(256, 2, 3, 40, id="dense-side"),
+        pytest.param(1024, 1, 3, 47, id="csr-side"),
+    ],
+)
+def test_pieces_of_any_size_move_the_same_bytes(tmp_path, monkeypatch, n, dim, q, seed):
+    basis = build_basis(np.random.default_rng(seed).random((n, dim)), q)
+    comp = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=4)
+    assert comp.layout.dense == (n < 1024)
+    path = tmp_path / "matrix.smpb"
+    save_compressed(comp, path)
+    raw = path.read_bytes()
+    # the last block's column count, one too many: it sits in the last piece
+    last = comp.blocks[tuple(comp.layout.keys[-1])]
+    at = len(raw) - 8 * last.size - 8
+    cols = int.from_bytes(raw[at : at + 8], "little") + 1
+    bad = tmp_path / "bad.smpb"
+    bad.write_bytes(raw[:at] + cols.to_bytes(8, "little") + raw[at + 8 :])
+    short = tmp_path / "short.smpb"
+    short.write_bytes(raw[:-8])
+    reads = []
+
+    class Reader(io.BufferedReader):
+        def read(self, size=-1):
+            reads.append(size)
+            return super().read(size)
+
+    def reading(path, mode):
+        return Reader(io.FileIO(path)) if mode == "rb" else open(path, mode)
+
+    monkeypatch.setattr(compression, "open", reading, raising=False)
+    for size in (8, 1000, 1 << 18):
+        monkeypatch.setattr(compression, "_BATCH_BYTES", size)
+        again = tmp_path / "again.smpb"
+        save_compressed(comp, again)
+        assert again.read_bytes() == raw
+        reads.clear()
+        loaded = load_compressed(path, basis)
+        assert np.array_equal(loaded.data.view(np.uint64), comp.data.view(np.uint64))
+        # the values are read piece by piece; a piece holds one block at least
+        assert max(reads[2:]) <= max(size, 8 * (4 + max(b.size for b in comp.blocks.values())))
+        with pytest.raises(ValueError, match="does not match the basis"):
+            load_compressed(bad, basis)
+        reads.clear()
+        with pytest.raises(ValueError, match="truncated"):
+            load_compressed(short, basis)
+        assert reads == [4, 32]  # the magic and the header: no values
+
+
+def test_load_memory_bounded_by_pieces(tmp_path, csr1024):
+    # a dense-side (N=1024, d=2) and a CSR-side cloud; the file is read in
+    # pieces, so beyond what the loaded matrix holds, loading needs a few
+    # pieces and a few words per block, never the whole file
+    dense = build_basis(np.random.default_rng(48).random((1024, 2)), 3)
+    for basis in (dense, csr1024[0]):
+        comp = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=4)
+        save_compressed(comp, tmp_path / "matrix.smpb")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_compressed(tmp_path / "matrix.smpb", basis)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.layout.dense == (basis is dense)
+        blocks = len(loaded.layout.keys)
+        assert peak - held <= 4 * compression._BATCH_BYTES + 8 * 8 * blocks
 
 
 def test_load_rejects_short_header(tmp_path, setup256):

@@ -8,6 +8,8 @@ symmetric compressed operator.  The runs are derandomized, so a failure
 reproduces.
 """
 
+import struct
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from samplets import (
     compress_assemble,
     forward_transform,
     inverse_transform,
+    load_compressed,
+    save_compressed,
 )
 from samplets.construction import default_leaf_size, monomial_exponents, monomial_values
 
@@ -111,3 +115,24 @@ def test_compressed_operator_exactly_symmetric(cloud):
     A = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=2)
     D = A.to_dense()
     assert np.array_equal(D, D.T)  # NaN entries would fail too
+
+
+@properties
+@_each_kind
+@given(clouds)
+def test_smpb_round_trip(tmp_path_factory, cloud):
+    pts, degree = cloud
+    basis = build_basis(pts, degree)
+    A = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=2)
+    path = tmp_path_factory.mktemp("smpb") / "matrix.smpb"
+    save_compressed(A, path)
+    # the documented layout, written from the blocks
+    head = struct.pack("<IQIdQ", 1, len(pts), degree, 1.25, len(A.blocks))
+    words = [np.array([i, j, *b.shape], "<u8").tobytes() + b.astype("<f8").tobytes()
+             for (i, j), b in A.blocks.items()]
+    raw = path.read_bytes()
+    assert raw == b"SMPB" + head + b"".join(words)
+    B = load_compressed(path, basis)
+    assert np.array_equal(B.data.view(np.uint64), A.data.view(np.uint64))
+    save_compressed(B, path)
+    assert path.read_bytes() == raw
