@@ -173,8 +173,8 @@ class _Layout:
     zero off the pattern; otherwise it is the data of a CSR matrix with
     `indices` and `indptr`.
 
-    The rows of row cluster i form a row-major (width[i], stride[i]) array
-    from `base[i]` on.  In the dense form that is all N columns, and block
+    The rows of row cluster i form one row-major (width[i], stride[i])
+    array.  In the dense form that is all N columns, and block
     (i, j) starts at column slots[j, 0].  In the CSR form it is the
     ascending slot ranges of i's blocks, one column pattern that all its
     rows share, and each block starts where the one before it ends.  Entry
@@ -230,7 +230,7 @@ class _Layout:
             cap = end[cuts[-1]] - size[cuts[-1]] - 4 + _BATCH_BYTES // 8
             cuts.append(max(cuts[-1] + 1, int(np.searchsorted(end, cap, "right"))))
         start = np.append(0, end[np.array(cuts[1:]) - 1])  # each piece's first word
-        head = end - size - 4 - np.repeat(start[:-1], np.diff(cuts))  # in its piece
+        head = end - size - 4 - np.repeat(start[:-1], np.diff(cuts))  # in the piece
         del size, end
         # one key per block: its piece, its row cluster's (rows, stride) and
         # its column count; sorted, each piece's runs follow each other
