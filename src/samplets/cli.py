@@ -8,8 +8,10 @@ deterministic for identical RunSpec + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import make_dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,52 +37,68 @@ from .solvers import (
 )
 from .transform import CoefficientVector, forward_transform, inverse_transform
 
-_COMMON = ("points", "output", "moment_degree", "carry_degree", "leaf_size", "rescale")
-_KERNEL = ("kernels", "eta", "interp_degree")
-# the RunSpec fields each command takes, as its parser defines them
-_TAKES = {
-    "transform": _COMMON + ("inverse", "coeffs"),
-    "compress": _COMMON + ("thresholds",),
-    "coarsen": _COMMON + ("epsilon",),
-    "subsample": _COMMON + ("epsilon", "n", "seed"),
-    "assemble": _COMMON + _KERNEL,
-    "interpolate": _COMMON + _KERNEL + ("ridge", "tol", "max_iter", "dense"),
-    "pursue": _COMMON + _KERNEL + ("weight", "step", "tol", "max_iter"),
-    "report": _COMMON + _KERNEL,
+
+def _floats(text):
+    """A comma-separated list of numbers, as a tuple of floats."""
+    try:
+        return tuple(float(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+
+
+# each RunSpec field: its command-line flags and argparse settings, default
+# among them (None where none is given)
+_PARAMS = {
+    "points": (("points",), dict(help="input points file (CSV or binary)")),
+    "coeffs": (("--coeffs",), dict(help="coefficient file for --inverse")),
+    "output": (("-o", "--output"), dict(default="out", help="output path")),
+    "inverse": (("--inverse",), dict(action="store_true", default=False)),
+    "moment_degree": (("-q", "--moment-degree"), dict(
+        type=int, default=3, help="largest annihilated polynomial total degree")),
+    "carry_degree": (("--carry-degree",), dict(
+        type=int, help="carry extra moment rows for increasing moments")),
+    "leaf_size": (("--leaf-size",), dict(type=int)),
+    "eta": (("--eta",), dict(type=float, default=1.25)),
+    "interp_degree": (("--degree",), dict(type=int, default=6)),
+    "ridge": (("--mu",), dict(type=float, default=0.0)),
+    "epsilon": (("--epsilon",), dict(type=float, default=1e-2)),
+    "thresholds": (("--thresholds",), dict(
+        type=_floats, default=(1e-2, 1e-3, 1e-4, 1e-5),
+        help="comma-separated relative thresholds")),
+    "kernels": (("--kernel",), dict(action="append", required=True)),
+    "weight": (("--weight",), dict(type=float, default=1e-6)),
+    "step": (("--step",), dict(type=float)),
+    "n": (("-n",), dict(type=int, required=True, help="sample size")),
+    "seed": (("--seed",), dict(type=int, default=0)),
+    "rescale": (("--rescale-unit-box",), dict(
+        action="store_true", default=False,
+        help="map sites into [0,1]^d and record the affine map")),
+    "tol": (("--tol",), dict(type=float, default=1e-8, help="relative tolerance")),
+    "max_iter": (("--max-iter",), dict(type=int, default=5000)),
+    "dense": (("--dense",), dict(
+        action="store_true", default=False,
+        help="use the dense matrix instead of compressed assembly")),
 }
-COMMANDS = tuple(_TAKES)
 
 
-@dataclass
-class RunSpec:
-    """Validated description of one CLI run."""
-
-    command: str
-    points: str | None = None
-    coeffs: str | None = None
-    output: str = "out"
-    inverse: bool = False
-    moment_degree: int = 3
-    carry_degree: int | None = None
-    leaf_size: int | None = None
-    eta: float = 1.25
-    interp_degree: int = 6
-    ridge: float = 0.0
-    epsilon: float = 1e-2
-    thresholds: tuple = (1e-2, 1e-3, 1e-4, 1e-5)
-    kernels: tuple = ()
-    weight: float = 1e-6
-    step: float | None = None
-    n: int = 0
-    seed: int = 0
-    rescale: bool = False
-    tol: float = 1e-8
-    max_iter: int = 5000
-    dense: bool = False
+class _RunSpec:
+    """Validated description of one CLI run: the command and one field per
+    entry of `_PARAMS`.  A field left unset (None) takes the command's
+    default, as on the command line."""
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        command = COMMANDS.get(self.command)
+        if command is None:
             raise InputError(f"unknown command '{self.command}'")
+        for name, (flags, settings) in _PARAMS.items():
+            value = getattr(self, name)
+            if value is None:
+                value = command.default(name)
+            elif settings.get("action") == "append":
+                value = tuple(value) or None
+            if value is None and settings.get("required") and name in command.takes:
+                raise InputError(f"{self.command} needs {flags[0]}")
+            setattr(self, name, value)
         if self.moment_degree < 0:
             raise InputError("moment degree must be >= 0")
         if self.eta <= 0:
@@ -94,16 +112,21 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data):
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {"command", *_PARAMS}
         if unknown:
             raise InputError(f"unknown RunSpec keys: {sorted(unknown)}")
         return cls(**data)
 
 
+RunSpec = make_dataclass(
+    "RunSpec", [("command", str), *((name, object, None) for name in _PARAMS)],
+    bases=(_RunSpec,), namespace={"__module__": __name__},
+)
+
+
 def _echo(spec: RunSpec):
     """The command and the parameters it takes, to stderr."""
-    pairs = [(k, getattr(spec, k)) for k in _TAKES[spec.command]]
+    pairs = [(k, getattr(spec, k)) for k in COMMANDS[spec.command].takes]
     line = " ".join(f"{k}={v}" for k, v in pairs if v not in (None, ()))
     print(f"# samplets command={spec.command} {line}", file=sys.stderr)
 
@@ -211,16 +234,12 @@ def _run_subsample(spec: RunSpec):
     return 0
 
 
-def _kernel(spec: RunSpec, pos=0):
-    if len(spec.kernels) <= pos:
-        raise InputError("missing --kernel specification")
-    return parse_kernel(spec.kernels[pos])
-
-
 def _run_assemble(spec: RunSpec):
     cloud, offset, scale = _load_cloud(spec)
     basis = _build(spec, cloud)
-    matrix = compress_assemble(basis, _kernel(spec), spec.eta, spec.interp_degree)
+    matrix = compress_assemble(
+        basis, parse_kernel(spec.kernels[0]), spec.eta, spec.interp_degree
+    )
     save_compressed(matrix, spec.output)
     print(
         f"# assembled: n={matrix.n} blocks={len(matrix.layout.keys)} "
@@ -233,7 +252,7 @@ def _run_assemble(spec: RunSpec):
 def _run_interpolate(spec: RunSpec):
     cloud, offset, scale = _load_cloud(spec, need_values=True)
     basis = _build(spec, cloud)
-    kernel = _kernel(spec)
+    kernel = parse_kernel(spec.kernels[0])
     rhs = forward_transform(basis, cloud.values)
     if spec.dense:
         from .kernels import dense_kernel_matrix
@@ -264,8 +283,6 @@ def _run_interpolate(spec: RunSpec):
 def _run_pursue(spec: RunSpec):
     cloud, offset, scale = _load_cloud(spec, need_values=True)
     basis = _build(spec, cloud)
-    if not spec.kernels:
-        raise InputError("pursue needs at least one --kernel")
     mats = [
         compress_assemble(basis, parse_kernel(k), spec.eta, spec.interp_degree)
         for k in spec.kernels
@@ -300,7 +317,7 @@ def _run_report(spec: RunSpec):
     basis = _build(spec, cloud)
     degrees = sorted({spec.moment_degree, *range(1, spec.moment_degree + 1)})
     rows = compression_error_report(
-        basis, _kernel(spec), spec.eta, degrees, spec.interp_degree
+        basis, parse_kernel(spec.kernels[0]), spec.eta, degrees, spec.interp_degree
     )
     write_report_csv(
         spec.output,
@@ -310,114 +327,67 @@ def _run_report(spec: RunSpec):
     return 0
 
 
-_RUNNERS = {
-    "transform": _run_transform,
-    "compress": _run_compress,
-    "coarsen": _run_coarsen,
-    "subsample": _run_subsample,
-    "assemble": _run_assemble,
-    "interpolate": _run_interpolate,
-    "pursue": _run_pursue,
-    "report": _run_report,
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[RunSpec], int]
+    takes: tuple  # the RunSpec fields it reads, in echo order
+    defaults: dict = {}  # where they differ from the fields' own defaults
+
+    def default(self, name):
+        return self.defaults.get(name, _PARAMS[name][1].get("default"))
+
+
+_COMMON = ("points", "output", "moment_degree", "carry_degree", "leaf_size", "rescale")
+_KERNEL = ("kernels", "eta", "interp_degree")
+COMMANDS = {
+    "transform": _Command("samplet analysis / synthesis of values", _run_transform,
+                          _COMMON + ("inverse", "coeffs")),
+    "compress": _Command("hard-thresholding compression report", _run_compress,
+                         _COMMON + ("thresholds",)),
+    "coarsen": _Command("energy-based adaptive subtree", _run_coarsen,
+                        _COMMON + ("epsilon",)),
+    "subsample": _Command("entropy-driven adaptive subsample", _run_subsample,
+                          _COMMON + ("epsilon", "n", "seed")),
+    "assemble": _Command("compressed kernel matrix assembly", _run_assemble,
+                         _COMMON + _KERNEL),
+    "interpolate": _Command("regularized kernel interpolation", _run_interpolate,
+                            _COMMON + _KERNEL + ("ridge", "tol", "max_iter", "dense")),
+    "pursue": _Command("weighted l1 multi-kernel basis pursuit", _run_pursue,
+                       _COMMON + _KERNEL + ("weight", "step", "tol", "max_iter"),
+                       defaults={"max_iter": 200}),
+    "report": _Command("compression accuracy/size sweep", _run_report,
+                       _COMMON + _KERNEL),
 }
 
 
 def run(spec: RunSpec) -> int:
     """Execute a run; returns the process exit code."""
     _echo(spec)
-    return _RUNNERS[spec.command](spec)
+    return COMMANDS[spec.command].run(spec)
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(
         prog="samplets",
         description="Multiresolution samplet analysis for scattered data",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, values=True):
-        sp.add_argument("points", help="input points file (CSV or binary)")
-        sp.add_argument("-o", "--output", default="out", help="output path")
-        sp.add_argument("-q", "--moment-degree", type=int, default=3,
-                        help="largest annihilated polynomial total degree")
-        sp.add_argument("--carry-degree", type=int, default=None,
-                        help="carry extra moment rows for increasing moments")
-        sp.add_argument("--leaf-size", type=int, default=None)
-        sp.add_argument("--rescale-unit-box", dest="rescale", action="store_true",
-                        help="map sites into [0,1]^d and record the affine map")
-
-    sp = sub.add_parser("transform", help="samplet analysis / synthesis of values")
-    common(sp)
-    sp.add_argument("--inverse", action="store_true")
-    sp.add_argument("--coeffs", help="coefficient file for --inverse")
-
-    sp = sub.add_parser("compress", help="hard-thresholding compression report")
-    common(sp)
-    sp.add_argument("--thresholds", default="1e-2,1e-3,1e-4,1e-5",
-                    help="comma-separated relative thresholds")
-
-    sp = sub.add_parser("coarsen", help="energy-based adaptive subtree")
-    common(sp)
-    sp.add_argument("--epsilon", type=float, default=1e-2)
-
-    sp = sub.add_parser("subsample", help="entropy-driven adaptive subsample")
-    common(sp)
-    sp.add_argument("--epsilon", type=float, default=1e-2)
-    sp.add_argument("-n", type=int, required=True, help="sample size")
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = sub.add_parser("assemble", help="compressed kernel matrix assembly")
-    common(sp)
-    sp.add_argument("--kernel", action="append", dest="kernels", required=True)
-    sp.add_argument("--eta", type=float, default=1.25)
-    sp.add_argument("--degree", type=int, default=6, dest="interp_degree")
-
-    sp = sub.add_parser("interpolate", help="regularized kernel interpolation")
-    common(sp)
-    sp.add_argument("--kernel", action="append", dest="kernels", required=True)
-    sp.add_argument("--mu", type=float, default=0.0, dest="ridge")
-    sp.add_argument("--eta", type=float, default=1.25)
-    sp.add_argument("--degree", type=int, default=6, dest="interp_degree")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--max-iter", type=int, default=5000)
-    sp.add_argument("--dense", action="store_true",
-                    help="use the dense matrix instead of compressed assembly")
-
-    sp = sub.add_parser("pursue", help="weighted l1 multi-kernel basis pursuit")
-    common(sp)
-    sp.add_argument("--kernel", action="append", dest="kernels", required=True)
-    sp.add_argument("--weight", type=float, default=1e-6)
-    sp.add_argument("--step", type=float, default=None)
-    sp.add_argument("--eta", type=float, default=1.25)
-    sp.add_argument("--degree", type=int, default=6, dest="interp_degree")
-    sp.add_argument("--tol", type=float, default=1e-8,
-                    help="relative fixed-point tolerance")
-    sp.add_argument("--max-iter", type=int, default=200)
-
-    sp = sub.add_parser("report", help="compression accuracy/size sweep")
-    common(sp)
-    sp.add_argument("--kernel", action="append", dest="kernels", required=True)
-    sp.add_argument("--eta", type=float, default=1.25)
-    sp.add_argument("--degree", type=int, default=6, dest="interp_degree")
-
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        for key in command.takes:
+            flags, settings = _PARAMS[key]
+            settings = dict(settings, default=command.default(key))
+            if flags[0].startswith("-"):
+                settings["dest"] = key
+            sp.add_argument(*flags, **settings)
     return p
 
 
 def main(argv=None) -> int:
     args = vars(_parser().parse_args(argv))
-    if "thresholds" in args and isinstance(args["thresholds"], str):
-        try:
-            args["thresholds"] = tuple(
-                float(t) for t in args["thresholds"].split(",") if t.strip()
-            )
-        except ValueError:
-            print("error: bad --thresholds list", file=sys.stderr)
-            return 2
-    if args.get("kernels"):
-        args["kernels"] = tuple(args["kernels"])
     try:
-        spec = RunSpec.from_dict(args)
-        return run(spec)
+        return run(RunSpec.from_dict(args))
     except (InputError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -312,7 +312,8 @@ class CompressedKernelMatrix:
         out = self.op @ arr
         return CoefficientVector(out, self.basis) if wrap else out
 
-    __matmul__ = matvec
+    def __matmul__(self, v):
+        return self.matvec(v)  # looked up per call, so a wrapped matvec sees it too
 
     def to_dense(self, guard: int = 8192) -> np.ndarray:
         if self.n > guard:

@@ -2,7 +2,7 @@
 weighted l1 basis pursuit via a semi-smooth Newton method.
 
 Solvers accept either dense arrays or compressed kernel matrices; all they
-need is a symmetric matrix-vector product.
+need is a symmetric matrix-vector product, `op @ x`.
 """
 
 from __future__ import annotations
@@ -12,6 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .transform import CoefficientVector
+
+
+# the inner CG of a pursuit Newton step: tolerance floor and iteration cap
+_NEWTON_CG_TOL = 1e-12
+_NEWTON_CG_MAX_ITER = 2000
+# power iteration for lambda_max(K^T K): steps and start-vector seed
+_POWER_ITERS = 30
+_POWER_SEED = 0
 
 
 class SolverError(RuntimeError):
@@ -29,16 +37,10 @@ def _as_array(v):
     return np.asarray(v, dtype=float)
 
 
-def _matvec(op, x):
-    if isinstance(op, np.ndarray):
-        return op @ x
-    return op.matvec(x)
-
-
 def _rmatvec(op, x):
     if isinstance(op, np.ndarray):
         return op.T @ x
-    return op.matvec(x)  # compressed kernel matrices are symmetric
+    return op @ x  # compressed kernel matrices are symmetric
 
 
 def conjugate_gradient(matvec, rhs, tol, max_iter, x0=None, best_effort=False):
@@ -122,7 +124,7 @@ def solve_interpolation(p: InterpolationProblem):
     rhs = _as_array(p.rhs)
 
     def apply(x):
-        y = _matvec(p.matrix, x)
+        y = p.matrix @ x
         if p.ridge:
             y = y + p.ridge * x
         return y
@@ -162,8 +164,6 @@ class PursuitProblem:
     step: float | None = None
     tol: float | None = None
     max_iter: int = 200
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 2000
 
 
 @dataclass
@@ -188,21 +188,21 @@ class _StackedOperator:
     def apply(self, beta):
         out = np.zeros(self.n)
         for i, block in enumerate(self.blocks):
-            out += _matvec(block, beta[i * self.n : (i + 1) * self.n])
+            out += block @ beta[i * self.n : (i + 1) * self.n]
         return out
 
     def apply_adjoint(self, r):
         return np.concatenate([_rmatvec(block, r) for block in self.blocks])
 
 
-def _power_lambda_max(op, n_total, iters=30, seed=0):
+def _power_lambda_max(op, n_total):
     """lambda_max(K^T K) estimated by power iteration; 0.0 for a zero
     operator."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n_total)
     v /= np.linalg.norm(v)
     lam = 1.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = op.apply_adjoint(op.apply(v))
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
@@ -288,7 +288,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
             # inexact Newton: warm start, forcing-term tolerance, and a
             # vanishing Tikhonov shift so singular (underdetermined stacked)
             # normal matrices stay solvable
-            inner_tol = max(p.cg_tol, min(1e-2, res / (1.0 + np.linalg.norm(rhs))))
+            inner_tol = max(_NEWTON_CG_TOL, min(1e-2, res / (1.0 + np.linalg.norm(rhs))))
             shift = shift_scale * inner_tol * lam_max
 
             def normal_matvec(xs):
@@ -297,7 +297,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
                 return op.apply_adjoint(op.apply(full))[support] + shift * xs
 
             xs, _, _ = conjugate_gradient(
-                normal_matvec, rhs, inner_tol, p.cg_max_iter,
+                normal_matvec, rhs, inner_tol, _NEWTON_CG_MAX_ITER,
                 x0=beta[support], best_effort=True,
             )
             newton = np.zeros(total)

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from samplets.io import (
     write_coefficients,
     write_points,
 )
+from samplets.kernels import dense_kernel_matrix, parse_kernel
 from samplets.transform import CoefficientVector
 
 
@@ -120,6 +123,33 @@ def test_compress_report_rows(cloud_csv, tmp_path):
     assert len(lines) == 3
 
 
+def test_malformed_thresholds_exit_2(cloud_csv, tmp_path, capsys):
+    path, _, _ = cloud_csv
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "compress", str(path), "-o", str(tmp_path / "r.csv"),
+            "--thresholds", "1e-2,abc",
+        ])
+    assert exc.value.code == 2
+    assert "--thresholds" in capsys.readouterr().err
+
+
+def test_interpolate_dense(cloud_csv, tmp_path):
+    path, pts, vals = cloud_csv
+    kernel = "matern(nu=1/2,l=0.1)"
+    out = tmp_path / "sol.csv"
+    assert main([
+        "interpolate", str(path), "-o", str(out), "--kernel", kernel, "--dense",
+        "--tol", "1e-10",
+    ]) == 0
+    report = (tmp_path / "sol.csv.report.csv").read_text().splitlines()
+    assert report[0] == "converged,iterations,residual,ridge,tol"
+    assert report[1].startswith("1,")
+    alpha = np.loadtxt(tmp_path / "sol.csv.alpha.csv", skiprows=1)
+    K = dense_kernel_matrix(parse_kernel(kernel), PointCloud(pts))
+    assert np.linalg.norm(K @ alpha - vals) <= 1e-8 * np.linalg.norm(vals)
+
+
 def test_interpolate_desk_scale_matches_production_settings(tmp_path):
     # short lengthscale exponential kernel on a rescaled 3-D cloud
     rng = np.random.default_rng(63)
@@ -205,15 +235,41 @@ def test_echo_names_only_parameters_the_command_takes(cloud_csv, tmp_path, capsy
     }
 
 
+def _required(command):
+    """A command's required arguments, as argv and as RunSpec values."""
+    if command in ("assemble", "interpolate", "pursue", "report"):
+        return ["--kernel", "gauss(l=1)"], {"kernels": ["gauss(l=1)"]}
+    if command == "subsample":
+        return ["-n", "1"], {"n": 1}
+    return [], {}
+
+
 @pytest.mark.parametrize("command", samplets.cli.COMMANDS)
 def test_echoed_parameters_are_the_parsers(command):
-    argv = [command, "pts.csv"]
-    if command in ("assemble", "interpolate", "pursue", "report"):
-        argv += ["--kernel", "gauss(l=1)"]
-    if command == "subsample":
-        argv += ["-n", "1"]
-    parsed = vars(samplets.cli._parser().parse_args(argv))
-    assert set(parsed) - {"command"} == set(samplets.cli._TAKES[command])
+    argv, _ = _required(command)
+    parsed = vars(samplets.cli._parser().parse_args([command, "pts.csv", *argv]))
+    assert set(parsed) - {"command"} == set(samplets.cli.COMMANDS[command].takes)
+
+
+@pytest.mark.parametrize("command", samplets.cli.COMMANDS)
+def test_runspec_defaults_are_the_parsers(command, cloud_csv):
+    # a run built in Python runs as the same command line does
+    argv, required = _required(command)
+    parsed = vars(samplets.cli._parser().parse_args([command, "pts.csv", *argv]))
+    assert RunSpec.from_dict(parsed) == RunSpec(command, "pts.csv", **required)
+    if required:
+        with pytest.raises(InputError):
+            run(RunSpec(command, str(cloud_csv[0])))
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line[1:] for line in lines if line and line[0] == "samplets"]
+    assert len(commands) == 9
+    for argv in commands:
+        samplets.cli._parser().parse_args(argv)
 
 
 def test_coarsen_and_report_commands(cloud_csv, tmp_path):

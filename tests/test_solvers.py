@@ -218,7 +218,7 @@ def test_two_kernel_pursuit_robust_to_rounding():
         def __init__(self, A, seed):
             self.A, self.rng = A, np.random.default_rng(seed)
 
-        def matvec(self, x):
+        def __matmul__(self, x):
             y = self.A @ x
             return y * (1.0 + 1e-16 * self.rng.standard_normal(len(y)))
 
