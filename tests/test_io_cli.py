@@ -1,6 +1,6 @@
+import importlib
 import json
 import re
-import shlex
 from pathlib import Path
 
 import numpy as np
@@ -262,11 +262,10 @@ def test_runspec_defaults_are_the_parsers(command, cloud_csv):
             run(RunSpec(command, str(cloud_csv[0])))
 
 
-def test_readme_command_lines_parse():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
-    commands = [line[1:] for line in lines if line and line[0] == "samplets"]
+def test_readme_command_lines_parse(monkeypatch):
+    # the lines tools/cli_parity.py runs; they must parse with the table
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "tools"))
+    commands = importlib.import_module("cli_parity").command_lines()
     assert len(commands) == 9
     for argv in commands:
         samplets.cli._parser().parse_args(argv)
