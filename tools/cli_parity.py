@@ -24,6 +24,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def command_lines():
+    """The argv (after `samplets`) of each line of README's command block."""
     text = README.read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
