@@ -252,14 +252,14 @@ def test_echoed_parameters_are_the_parsers(command):
 
 
 @pytest.mark.parametrize("command", samplets.cli.COMMANDS)
-def test_runspec_defaults_are_the_parsers(command, cloud_csv):
+def test_runspec_defaults_are_the_parsers(command):
     # a run built in Python runs as the same command line does
     argv, required = _required(command)
     parsed = vars(samplets.cli._parser().parse_args([command, "pts.csv", *argv]))
     assert RunSpec.from_dict(parsed) == RunSpec(command, "pts.csv", **required)
     if required:
         with pytest.raises(InputError):
-            run(RunSpec(command, str(cloud_csv[0])))
+            RunSpec(command, "pts.csv")
 
 
 def test_readme_command_lines_parse(monkeypatch):
