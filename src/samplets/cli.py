@@ -127,7 +127,8 @@ RunSpec = make_dataclass(
 def _echo(spec: RunSpec):
     """The command and the parameters it takes, to stderr."""
     pairs = [(k, getattr(spec, k)) for k in COMMANDS[spec.command].takes]
-    line = " ".join(f"{k}={v}" for k, v in pairs if v not in (None, ()))
+    unset = [k for k, v in pairs if v is None or isinstance(v, tuple) and not v]
+    line = " ".join(f"{k}={v}" for k, v in pairs if k not in unset)
     print(f"# samplets command={spec.command} {line}", file=sys.stderr)
 
 
@@ -210,15 +211,14 @@ def _run_coarsen(spec: RunSpec):
     basis = _build(spec, cloud)
     coeffs = forward_transform(basis, cloud.values)
     sub = coarsen_tree(coeffs, spec.epsilon)
-    leaves = {c.index for c in sub.leaves}
-    rows = [
-        (c.index, c.level, c.start, c.stop, int(c.index in leaves))
-        for c in sub.clusters()
-    ]
+    tree, ids = basis.tree, sub.clusters()
+    leaf = np.isin(ids, sub.leaves).astype(int)
+    columns = ids, tree.level[ids], tree.start[ids], (tree.start + tree.size)[ids], leaf
+    rows = list(zip(*(c.tolist() for c in columns)))
     write_report_csv(
         spec.output, ["cluster_id", "level", "start", "stop", "is_leaf"], rows
     )
-    print(f"# subtree: {len(rows)} clusters, {len(leaves)} leaves", file=sys.stderr)
+    print(f"# subtree: {len(rows)} clusters, {sub.n_leaves} leaves", file=sys.stderr)
     return 0
 
 

@@ -385,11 +385,11 @@ def compress_assemble(
         shape = (len(held), size[group.index].max(), n_in[group.index[0]])
         weights.append(group.q if group.leaf else np.zeros(shape))
 
-    def hold(cluster, w):
-        if wanted[cluster.index]:
-            weights[gid[cluster.index]][wrow[cluster.index], : len(w)] = w
+    def hold(i, w):
+        if wanted[i]:
+            weights[gid[i]][wrow[i], : len(w)] = w
 
-    cluster_weight_matrix(basis, tree.root, hold)
+    cluster_weight_matrix(basis, 0, hold)
     # interpolation factors Lambda_c(P_c)^T W_c of the clusters of the
     # interpolated fringe, where Lambda_c holds c's grid polynomials
     on_grid = np.bincount(np.append(a[~exact], b[~exact]), minlength=n) > 0

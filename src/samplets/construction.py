@@ -280,22 +280,22 @@ class SampletBasis:
         self.groups = groups
         self.slot_row = slot_row
         self.sweep_rows = slot_row + tree.n_points
-        self.n_scaling = int(n_sc[tree.root.index])
+        self.n_scaling = int(n_sc[0])  # the root's
 
     @property
     def n(self):
         return self.tree.n_points
 
-    def samplet_slots(self, cluster):
-        """Half-open slot range of the cluster's samplet coefficients: its
+    def samplet_slots(self, i):
+        """Half-open slot range of cluster i's samplet coefficients: its
         stored slots less the root's leading scaling slots."""
-        lo, hi = self.slots[cluster.index]
+        lo, hi = self.slots[i]
         return max(lo, self.n_scaling), hi
 
-    def stored_slots(self, cluster):
-        """Slot range a kernel block for this cluster covers; the root block
+    def stored_slots(self, i):
+        """Slot range a kernel block for cluster i covers; the root block
         also spans the scaling slots."""
-        return tuple(self.slots[cluster.index])
+        return tuple(self.slots[i])
 
     def samplet_levels(self):
         """Level of the cluster owning each slot; root scaling slots get -1."""
@@ -318,7 +318,6 @@ def _level_groups(tree, n_scaling_cap):
     incoming distributions, an interior cluster its children's scaling
     distributions, and every cluster keeps min(cap, n_in) of them.
     """
-    root = tree.root.index
     level, children = tree.level, tree.children
     is_leaf = children[:, 0] < 0
     n_in = np.empty(len(level), dtype=int)
@@ -328,14 +327,14 @@ def _level_groups(tree, n_scaling_cap):
         n_in[inner] = np.minimum(n_in[children[inner]], n_scaling_cap).sum(axis=1)
     n_sc = np.minimum(n_in, n_scaling_cap)
     n_samplets = n_in - n_sc
-    offsets = n_sc[root] + np.cumsum(n_samplets) - n_samplets  # pre-order
+    offsets = n_sc[0] + np.cumsum(n_samplets) - n_samplets  # pre-order, root 0
     slots = np.stack([offsets, offsets + n_samplets], axis=1)
-    slots[root, 0] = 0
+    slots[0, 0] = 0
     rest = np.lexsort((np.arange(len(level)), level))[1:]  # non-root, by level
     up = np.empty(len(level), dtype=int)
     up[rest] = np.cumsum(n_sc[rest]) - n_sc[rest]
     slot_row = int(n_sc[rest].sum())
-    up[root] = slot_row  # the root's scaling distributions lead the slots
+    up[0] = slot_row  # the root's scaling distributions lead the slots
     first = np.where(is_leaf, tree.start, up[children[:, 0]])
     group, position = np.empty_like(n_in), np.empty_like(n_in)
     groups = []
@@ -428,31 +427,31 @@ def build_basis(cloud, moment_degree, leaf_size=None, carry_degree=None):
     return build_samplet_basis(tree, moment_degree, carry_degree)
 
 
-def cluster_weight_matrix(basis, cluster, visit=None):
-    """Dense Dirac weights of a cluster's scaling distributions and samplets.
+def cluster_weight_matrix(basis, i, visit=None):
+    """Dense Dirac weights of cluster i's scaling distributions and samplets.
 
-    Returns a (cluster.size, n_in) matrix in tree point order; column j holds
-    the weights of the j-th generated distribution.  Applies `visit(cluster,
-    weights)` to every cluster of the subtree, children first.  Works per
-    cluster from the basis table, independent of the batched sweeps; cost
-    is proportional to cluster size times block width.
+    Returns a (size, n_in) matrix in tree point order; column j holds the
+    weights of the j-th generated distribution.  Applies `visit(k, weights)`
+    to every cluster k of the subtree, children first.  Works per cluster
+    from the basis table, independent of the batched sweeps; cost is
+    proportional to cluster size times block width.
     """
-    i = cluster.index
+    tree = basis.tree
     q = basis.groups[basis.group[i]].q[basis.position[i]]
-    if cluster.is_leaf:
+    if tree.children[i, 0] < 0:
         weights = q.copy()
     else:
-        carrier = np.zeros((cluster.size, basis.n_in[i]))
+        carrier = np.zeros((tree.size[i], basis.n_in[i]))
         col = 0
-        for child in cluster.children:
-            n_sc = basis.n_sc[child.index]
-            r0 = child.start - cluster.start
+        for child in tree.children[i].tolist():
+            n_sc = basis.n_sc[child]
+            r0 = tree.start[child] - tree.start[i]
             w_child = cluster_weight_matrix(basis, child, visit)
-            carrier[r0 : r0 + child.size, col : col + n_sc] = w_child[:, :n_sc]
+            carrier[r0 : r0 + tree.size[child], col : col + n_sc] = w_child[:, :n_sc]
             col += n_sc
         weights = carrier @ q
     if visit is not None:
-        visit(cluster, weights)
+        visit(i, weights)
     return weights
 
 
@@ -465,13 +464,13 @@ def assemble_dense_transform(basis: SampletBasis, guard: int = 8192) -> np.ndarr
     tree = basis.tree
     T = np.zeros((n, n))
 
-    def place(cluster, weights):
-        n_sc = basis.n_sc[cluster.index]
-        cols = tree.permutation[cluster.start : cluster.stop]
-        lo, hi = basis.samplet_slots(cluster)
+    def place(i, weights):
+        n_sc = basis.n_sc[i]
+        cols = tree.permutation[tree.start[i] : tree.start[i] + tree.size[i]]
+        lo, hi = basis.samplet_slots(i)
         T[lo:hi, cols] = weights[:, n_sc:].T
-        if cluster is tree.root:
+        if i == 0:  # the root
             T[:n_sc, cols] = weights[:, :n_sc].T
 
-    cluster_weight_matrix(basis, tree.root, place)
+    cluster_weight_matrix(basis, 0, place)
     return T

@@ -65,7 +65,7 @@ class EnergyTree:
     def __init__(self, coeffs: CoefficientVector):
         basis = coeffs.basis
         tree = basis.tree
-        n_clusters = len(tree.clusters)
+        n_clusters = len(tree.level)
         widths = basis.slots[:, 1] - basis.slots[:, 0]
         owner = np.repeat(np.arange(n_clusters), widths)
         energy = np.bincount(owner, coeffs.slots**2, minlength=n_clusters)
@@ -73,7 +73,7 @@ class EnergyTree:
         for p in reversed(inner):  # children before parents
             energy[p] += energy[tree.children[p]].sum(axis=1)
         modified = np.zeros(n_clusters)
-        modified[tree.root.index] = energy[tree.root.index]
+        modified[0] = energy[0]  # the root's
         for p in inner:  # parents before children
             child_sum = energy[tree.children[p]].sum(axis=1)
             denom = energy[p] + modified[p]
@@ -95,28 +95,29 @@ def _inner_by_level(tree):
 class CoarsenedTree:
     """Sibling- and parent-closed subtree of the cluster tree.
 
-    `included` flags clusters by pre-order id; subtree leaves (clusters whose
-    children were not selected, or original leaves) partition the sites.
+    `included` flags clusters by pre-order id; `leaves` holds the pre-order
+    ids of the subtree leaves (clusters whose children were not selected, or
+    original leaves), which partition the sites.
     """
 
     def __init__(self, basis, included, threshold):
         self.basis = basis
         self.included = included
         self.threshold = threshold
-        clusters, first = basis.tree.clusters, basis.tree.children[:, 0]
+        first = basis.tree.children[:, 0]
         self._refined = included & (first >= 0) & included[first]
-        self.leaves = [clusters[i] for i in np.flatnonzero(included & ~self._refined)]
+        self.leaves = np.flatnonzero(included & ~self._refined)
 
     @property
     def n_leaves(self):
         return len(self.leaves)
 
-    def clusters(self):
-        return [c for c in self.basis.tree.clusters if self.included[c.index]]
+    def clusters(self):  # pre-order ids
+        return np.flatnonzero(self.included)
 
     def refined(self):
-        """Included clusters whose children are included as well."""
-        return [self.basis.tree.clusters[i] for i in np.flatnonzero(self._refined)]
+        """Pre-order ids of the included clusters whose children are, too."""
+        return np.flatnonzero(self._refined)
 
     def restrict(self, coeffs: CoefficientVector) -> CoefficientVector:
         """Keep only coefficients owned by subtree clusters (plus the coarse
@@ -139,9 +140,9 @@ def coarsen_tree(coeffs: CoefficientVector, epsilon: float) -> CoarsenedTree:
     basis = coeffs.basis
     tree = basis.tree
     et = EnergyTree(coeffs)
-    w = epsilon**2 * et.energy[tree.root.index]
-    included = np.zeros(len(tree.clusters), dtype=bool)
-    included[tree.root.index] = True
+    w = epsilon**2 * et.energy[0]  # the root's energy is ||coeffs||^2
+    included = np.zeros(len(tree.level), dtype=bool)
+    included[0] = True
     for p in _inner_by_level(tree):  # parents before children
         children = tree.children[p]
         refine = included[p] & (et.modified[children[:, 0]] >= w)
@@ -160,7 +161,8 @@ def entropy_subsample(tree_w: CoarsenedTree, n: int, seed: int) -> np.ndarray:
     if not 0 < n <= tree.n_points:
         raise ValueError(f"sample size {n} not in [1, {tree.n_points}]")
     rng = np.random.default_rng(seed)
-    pools = [list(tree.original_indices(leaf)) for leaf in tree_w.leaves]
+    # the leaves, in pre-order, cut the tree order into consecutive ranges
+    pools = [p.tolist() for p in np.split(tree.permutation, tree.start[tree_w.leaves[1:]])]
     n_leaves = len(pools)
     chosen = np.empty(n, dtype=int)
     for k in range(n):

@@ -2,91 +2,128 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .points import PointCloud
 
 
 class Cluster:
-    """Contiguous range of tree-ordered point indices with its bounding box.
+    """Read-only view of one cluster: row `index` (a pre-order id) of a tree.
 
     `start:stop` index into the tree permutation, not the original point
     order.  Non-leaf clusters have exactly two children that partition the
     range.
     """
 
-    __slots__ = ("start", "stop", "level", "bbox_lo", "bbox_hi", "children", "index")
+    __slots__ = ("tree", "index")
 
-    def __init__(self, start, stop, level, bbox_lo, bbox_hi):
-        self.start = start
-        self.stop = stop
-        self.level = level
-        self.bbox_lo = bbox_lo
-        self.bbox_hi = bbox_hi
-        self.children = ()
-        self.index = -1  # pre-order id, assigned once the tree is complete
+    def __init__(self, tree, index):
+        self.tree = tree
+        self.index = index
+
+    start = property(lambda self: int(self.tree.start[self.index]))
+    size = property(lambda self: int(self.tree.size[self.index]))
+    stop = property(lambda self: self.start + self.size)
+    level = property(lambda self: int(self.tree.level[self.index]))
+    bbox_lo = property(lambda self: self.tree.lo[self.index])
+    bbox_hi = property(lambda self: self.tree.hi[self.index])
+    is_leaf = property(lambda self: bool(self.tree.children[self.index, 0] < 0))
 
     @property
-    def size(self):
-        return self.stop - self.start
-
-    @property
-    def is_leaf(self):
-        return not self.children
+    def children(self):
+        kids = self.tree.children[self.index]
+        return tuple(self.tree.clusters[k] for k in kids[kids >= 0])
 
     def __repr__(self):
-        return (
-            f"Cluster(id={self.index}, level={self.level}, "
-            f"range=[{self.start},{self.stop}))"
-        )
+        return f"Cluster(id={self.index}, level={self.level}, range=[{self.start},{self.stop}))"
 
 
 class ClusterTree:
-    """Balanced binary tree over a point cloud.
+    """Balanced binary tree over a point cloud, held as per-cluster arrays.
 
     `permutation[t]` is the original index of the point at tree position t.
-    `clusters` lists all clusters in pre-order (root first).  The per-cluster
-    arrays, indexed by pre-order id, are the one source of cluster geometry
-    and topology: bounding boxes `lo`, `hi` (clusters x dim), diameters
-    `diam` (from `cluster_diam`), `level`, `start`, `size` (points held),
-    `parent` (-1 for the root) and `children` (clusters x 2, -1 for a leaf).
+    The arrays, indexed by pre-order id (the root is 0), are the one source
+    of cluster geometry and topology: bounding boxes `lo`, `hi` (clusters x
+    dim), diameters `diam` (the box diagonals), `level`, `start`, `size`
+    (points held), `parent` (-1 for the root) and `children` (clusters x 2,
+    -1 for a leaf).  `clusters` (in pre-order), `root` and `leaves` give
+    callers read-only `Cluster` views of the rows.  The tree is built level
+    by level; a cluster holds its left child's points, then its right
+    child's, and a leaf holds its points in original-index order.
     """
 
-    def __init__(self, cloud, root, permutation, leaf_size):
+    def __init__(self, cloud, leaf_size):
         self.cloud = cloud
-        self.root = root
-        self.permutation = permutation
         self.leaf_size = leaf_size
-        self.points = cloud.points[permutation]  # tree-ordered copy
-        self.clusters = []
-        stack = [root]
-        while stack:
-            c = stack.pop()
-            c.index = len(self.clusters)
-            self.clusters.append(c)
-            stack.extend(reversed(c.children))
-        clusters = self.clusters
-        self.lo = np.array([c.bbox_lo for c in clusters])
-        self.hi = np.array([c.bbox_hi for c in clusters])
-        self.diam = np.array([cluster_diam(c) for c in clusters])
-        self.level = np.array([c.level for c in clusters])
-        self.start = np.array([c.start for c in clusters])
-        self.size = np.array([c.size for c in clusters])
-        self.children = np.full((len(clusters), 2), -1)
-        for c in clusters:
-            self.children[c.index, : len(c.children)] = [ch.index for ch in c.children]
-        inner = np.flatnonzero(self.children[:, 0] >= 0)
-        self.parent = np.full(len(clusters), -1)
-        self.parent[self.children[inner]] = inner[:, None]
-        self.depth = int(self.level.max())
+        pts = cloud.points
+        n, dim = pts.shape
+        rank = np.empty((dim, n), dtype=int)  # of each point along each axis
+        axes = np.arange(dim)[:, None]
+        rank[axes, np.argsort(pts.T, axis=1, kind="stable")] = np.arange(n)
+        perm = np.arange(n)
+        start, size, parent = np.zeros(1, int), np.full(1, n), np.full(1, -1)
+        levels, first = [], 0  # first: level-order id of the level's first cluster
+        while True:
+            # boxes over (start, stop) cuts: leaves of earlier levels leave
+            # gaps, and a spare row lets the last cut fall at n
+            block = pts.take(np.append(perm, 0), axis=0)
+            cuts = np.stack([start, start + size], axis=1).ravel()
+            lo = np.minimum.reduceat(block, cuts)[::2]
+            hi = np.maximum.reduceat(block, cuts)[::2]
+            levels.append((start, size, parent, lo, hi))
+            split = np.flatnonzero(size > leaf_size)
+            if not split.size:
+                break
+            s, m = start[split], size[split]
+            axis = np.argmax(hi[split] - lo[split], axis=1)  # lowest axis on ties
+            owner = np.repeat(np.arange(split.size), m)
+            before = np.cumsum(m) - m
+            pos = np.arange(m.sum()) + np.repeat(s - before, m)
+            # the left child takes the ceil(m/2) points of lowest rank, i.e.
+            # by (coordinate, original index); each child keeps its points
+            # in original-index order
+            key = owner * n + rank[axis[owner], perm[pos]]
+            half = (m + 1) // 2
+            right = key > np.sort(key)[before + half - 1][owner]
+            perm[pos] = np.sort((2 * owner + right) * n + perm[pos]) % n
+            start = np.stack([s, s + half], axis=1).ravel()
+            size = np.stack([half, m - half], axis=1).ravel()
+            parent = np.repeat(first + split, 2)
+            first += len(levels[-1][0])
+        start, size, parent, lo, hi = (np.concatenate(a) for a in zip(*levels))
+        level = np.repeat(np.arange(len(levels)), [len(a[0]) for a in levels])
+        order = np.lexsort((level, start))  # pre-order: ancestors first, left first
+        pre = np.empty_like(order)
+        pre[order] = np.arange(len(order))
+        self.permutation = perm
+        self.points = pts.take(perm, axis=0)  # tree-ordered copy
+        self.lo, self.hi = lo[order], hi[order]
+        self.diam = np.sqrt(np.vecdot(self.hi - self.lo, self.hi - self.lo))
+        self.level, self.start, self.size = level[order], start[order], size[order]
+        self.parent = np.where(parent < 0, -1, pre[parent])[order]
+        self.children = np.full((len(order), 2), -1)
+        kids = np.flatnonzero(self.parent >= 0)
+        up = self.parent[kids]
+        self.children[up, (self.start[kids] > self.start[up]).astype(int)] = kids
+        self.depth = len(levels) - 1
 
     @property
     def n_points(self):
         return len(self.cloud)
 
+    @functools.cached_property
+    def clusters(self):
+        return [Cluster(self, i) for i in range(len(self.level))]
+
+    @property
+    def root(self):
+        return self.clusters[0]
+
     @property
     def leaves(self):
-        return [c for c in self.clusters if c.is_leaf]
+        return [self.clusters[i] for i in np.flatnonzero(self.children[:, 0] < 0)]
 
     def cluster_points(self, cluster):
         return self.points[cluster.start : cluster.stop]
@@ -95,64 +132,21 @@ class ClusterTree:
         return self.permutation[cluster.start : cluster.stop]
 
 
-def _split_positions(coords, n_left):
-    """Stable longest-axis median split: local positions of the left child.
-
-    Points strictly below the median value go left; ties at the median fill
-    the left child up to n_left in order of position, the rest go right.
-    """
-    n = coords.shape[0]
-    order = np.argpartition(coords, n_left - 1)
-    median = coords[order[n_left - 1]]
-    below = np.flatnonzero(coords < median)
-    ties = np.flatnonzero(coords == median)
-    take = n_left - below.size
-    left = np.concatenate([below, ties[:take]])
-    left.sort()
-    mask = np.zeros(n, dtype=bool)
-    mask[left] = True
-    right = np.flatnonzero(~mask)
-    return left, right
-
-
 def build_cluster_tree(cloud: PointCloud, leaf_size: int) -> ClusterTree:
     """Build a cardinality-balanced binary cluster tree.
 
     Each non-leaf splits its bounding box along the longest axis (lowest
-    axis index on ties) at the coordinate median, giving the left child
-    ceil(n/2) points.  Recursion stops once a cluster holds at most
-    `leaf_size` points.  Deterministic for a fixed input ordering.
+    axis index on ties) at the coordinate median: the left child takes the
+    first ceil(n/2) points by (coordinate, original index), from a rank per
+    axis taken once with a stable sort.  Splitting stops once a cluster
+    holds at most `leaf_size` points.  Deterministic for a fixed input
+    ordering.
     """
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
     if not isinstance(cloud, PointCloud):
         cloud = PointCloud(cloud)
-    n = len(cloud)
-    perm = np.arange(n)
-    pts = cloud.points
-
-    def make(start, stop, level):
-        block = pts[perm[start:stop]]
-        lo = block.min(axis=0)
-        hi = block.max(axis=0)
-        node = Cluster(start, stop, level, lo, hi)
-        count = stop - start
-        if count > leaf_size:
-            axis = int(np.argmax(hi - lo))
-            n_left = (count + 1) // 2
-            left, right = _split_positions(block[:, axis], n_left)
-            perm[start:stop] = np.concatenate(
-                [perm[start:stop][left], perm[start:stop][right]]
-            )
-            mid = start + n_left
-            node.children = (
-                make(start, mid, level + 1),
-                make(mid, stop, level + 1),
-            )
-        return node
-
-    root = make(0, n, 0)
-    return ClusterTree(cloud, root, perm, leaf_size)
+    return ClusterTree(cloud, leaf_size)
 
 
 def cluster_diam(c: Cluster) -> float:

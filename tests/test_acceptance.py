@@ -226,8 +226,8 @@ def test_criterion_7_pattern_correctness(exp_kernel):
     for (i, j), block in comp.blocks.items():
         a, b = clusters[i], clusters[j]
         if a.is_leaf and b.is_leaf:
-            r0, r1 = basis.stored_slots(a)
-            c0, c1 = basis.stored_slots(b)
+            r0, r1 = basis.stored_slots(i)
+            c0, c1 = basis.stored_slots(j)
             near_err = max(near_err, np.abs(block - dense[r0:r1, c0:c1]).max())
             checked += 1
     ok = bad_ancestors == 0 and near_err <= 1e-12 and checked > 0
@@ -348,7 +348,7 @@ def test_criterion_10_subsampling():
     basis = build_basis(pts, 2)
     coeffs = forward_transform(basis, f)
     sub = coarsen_tree(coeffs, 1e-2)
-    refined = sub.refined()
+    refined = [basis.tree.clusters[i] for i in sub.refined()]
     straddle_ok = all(c.bbox_lo[0] <= 0.5 <= c.bbox_hi[0] for c in refined)
 
     # entropy sampler: leaf frequencies uniform at chi^2 significance 0.001
@@ -364,7 +364,7 @@ def test_criterion_10_subsampling():
     sample = entropy_subsample(four, 4000, seed=1234)
     counts = []
     for leaf in four.leaves:
-        members = set(basis2.tree.original_indices(leaf).tolist())
+        members = set(basis2.tree.original_indices(basis2.tree.clusters[leaf]).tolist())
         counts.append(sum(1 for i in sample if int(i) in members))
     _, pval = stats.chisquare(counts)
     ok = straddle_ok and len(refined) > 0 and pval > 0.001

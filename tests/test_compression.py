@@ -33,7 +33,7 @@ from samplets.compression import (
     _pattern,
 )
 from samplets.construction import cluster_weight_matrix
-from samplets.tree import Cluster, cluster_diam, cluster_dist
+from samplets.tree import build_cluster_tree, cluster_diam, cluster_dist
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +61,9 @@ def both_forms(setup256, csr1024):
 
 
 def _box(lo, hi):
-    return Cluster(0, 1, 0, np.array(lo, dtype=float), np.array(hi, dtype=float))
+    """The cluster with bounding box [lo, hi]: the root of a tree over the
+    corners lo and hi, or over one point when they coincide."""
+    return build_cluster_tree(np.unique([lo, hi], axis=0).astype(float), 2).root
 
 
 def test_is_admissible_examples():
@@ -224,8 +226,8 @@ def test_near_field_leaf_blocks_exact(setup256):
     for (i, j), block in comp.blocks.items():
         a, b = clusters[i], clusters[j]
         if a.is_leaf and b.is_leaf:
-            r0, r1 = basis.stored_slots(a)
-            c0, c1 = basis.stored_slots(b)
+            r0, r1 = basis.stored_slots(i)
+            c0, c1 = basis.stored_slots(j)
             np.testing.assert_allclose(block, dense[r0:r1, c0:c1], atol=1e-12)
             checked += 1
     assert checked > 0
@@ -244,8 +246,8 @@ def test_dropped_blocks_follow_decay_law(setup256):
             d = cluster_dist(a, b)
             if d < eta * max(cluster_diam(a), cluster_diam(b)) or d <= 0:
                 continue
-            r0, r1 = basis.samplet_slots(a)
-            c0, c1 = basis.samplet_slots(b)
+            r0, r1 = basis.samplet_slots(a.index)
+            c0, c1 = basis.samplet_slots(b.index)
             if r1 == r0 or c1 == c0:
                 continue
             norm = np.linalg.norm(dense[r0:r1, c0:c1])
@@ -581,8 +583,8 @@ def _per_pair_assembly(basis, spec, eta, degree):
                 return sj * (si * (1 + ni) + ni * nj)
 
             if cost(a.size, b.size) <= cost(grid_size, grid_size):
-                wi = cluster_weight_matrix(basis, a)
-                wj = cluster_weight_matrix(basis, b)
+                wi = cluster_weight_matrix(basis, i)
+                wj = cluster_weight_matrix(basis, j)
                 pa, pb = tree.cluster_points(a), tree.cluster_points(b)
                 return wi.T @ kernel(pa, pb) @ wj
             return factor(i).T @ kernel(grid(i), grid(j)) @ factor(j)

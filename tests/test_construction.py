@@ -144,10 +144,10 @@ def test_support_locality():
     levels = basis.samplet_levels()
     assert np.all(levels[: basis.n_scaling] == -1)
     for c in basis.tree.clusters:
-        lo, hi = basis.samplet_slots(c)
+        lo, hi = basis.samplet_slots(c.index)
         assert hi - lo == basis.n_in[c.index] - basis.n_sc[c.index]
         assert np.all(levels[lo:hi] == c.level)
-        assert basis.stored_slots(c) == (0 if c is basis.tree.root else lo, hi)
+        assert basis.stored_slots(c.index) == (0 if c is basis.tree.root else lo, hi)
         inside = basis.tree.original_indices(c)
         outside = np.setdiff1d(np.arange(96), inside)
         if hi > lo and outside.size:
@@ -159,8 +159,8 @@ def test_weight_matrix_matches_dense_rows():
     basis = build_basis(rng.random((64, 2)), 1)
     T = assemble_dense_transform(basis)
     c = basis.tree.root.children[0]
-    W = cluster_weight_matrix(basis, c)
-    lo, hi = basis.samplet_slots(c)
+    W = cluster_weight_matrix(basis, c.index)
+    lo, hi = basis.samplet_slots(c.index)
     cols = basis.tree.permutation[c.start : c.stop]
     n_sc = basis.n_sc[c.index]
     np.testing.assert_allclose(W[:, n_sc:].T, T[lo:hi][:, cols], atol=1e-13)

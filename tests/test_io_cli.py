@@ -235,6 +235,18 @@ def test_echo_names_only_parameters_the_command_takes(cloud_csv, tmp_path, capsy
     }
 
 
+def test_echo_takes_numpy_values(cloud_csv, tmp_path, capsys):
+    # a numpy scalar runs and echoes as the Python value does
+    path, _, _ = cloud_csv
+    lines = []
+    for n in (np.int64(5), 5):
+        out = tmp_path / f"{type(n).__name__}.csv"
+        assert run(RunSpec("subsample", str(path), output=str(out), n=n)) == 0
+        lines.append(capsys.readouterr().err.replace(out.name, "sample.csv"))
+    assert lines[0] == lines[1]
+    assert "n=5 " in lines[0]
+
+
 def _required(command):
     """A command's required arguments, as argv and as RunSpec values."""
     if command in ("assemble", "interpolate", "pursue", "report"):

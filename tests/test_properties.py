@@ -4,7 +4,8 @@ Clouds of 1 to 300 sites in 1 to 6 dimensions: uniform, duplicated and
 collinear sites, shifted by 1e8 or scaled by 1e-9, and clouds below the
 leaf size.  Every property holds on every cloud: an orthonormal dense
 transform, vanishing moments, a forward/inverse round trip and an exactly
-symmetric compressed operator.  The runs are derandomized, so a failure
+symmetric compressed operator, and a cluster tree that splits each cluster
+at the median of its longest axis.  The runs are derandomized, so a failure
 reproduces.
 """
 
@@ -18,6 +19,7 @@ from samplets import (
     Matern,
     assemble_dense_transform,
     build_basis,
+    build_cluster_tree,
     compress_assemble,
     forward_transform,
     inverse_transform,
@@ -65,6 +67,45 @@ def _each_kind(test):
     for k, (kind, (offset, scale)) in enumerate(zip(KINDS, shifts)):
         test = example(_cloud(k, 6, 300, kind, 2, offset, scale))(test)
     return test
+
+
+@properties
+@_each_kind
+@example((np.indices((6, 6, 2)).reshape(3, -1).T[::-1] * 1.0, 0))  # ties everywhere
+@given(clouds)
+def test_tree_splits_at_the_median_in_index_order(cloud):
+    pts, degree = cloud
+    leaf_size = default_leaf_size(degree, pts.shape[1])
+    tree = build_cluster_tree(pts, leaf_size)
+    # the children arrays, walked depth first, visit every id once in pre-order
+    order, stack = [], [0]
+    while stack:
+        order.append(stack.pop())
+        stack.extend(k for k in tree.children[order[-1], ::-1].tolist() if k >= 0)
+    assert order == list(range(len(tree.level)))
+    assert (tree.start[0], tree.size[0], tree.parent[0]) == (0, len(pts), -1)
+    for i in order:
+        start, size = tree.start[i], tree.size[i]
+        idx = tree.permutation[start : start + size]
+        lo, hi = pts[idx].min(axis=0), pts[idx].max(axis=0)
+        assert np.array_equal(tree.lo[i], lo) and np.array_equal(tree.hi[i], hi)
+        assert tree.diam[i] == np.linalg.norm(hi - lo)
+        left, right = tree.children[i]
+        if left < 0:
+            assert right < 0 and size <= leaf_size
+            assert (np.diff(idx) > 0).all()  # a leaf keeps original-index order
+            continue
+        assert size > leaf_size
+        assert tree.parent[left] == tree.parent[right] == i
+        assert tree.level[left] == tree.level[right] == tree.level[i] + 1
+        half = (size + 1) // 2
+        assert (tree.start[left], tree.size[left]) == (start, half)
+        assert (tree.start[right], tree.size[right]) == (start + half, size - half)
+        # the left child: the first half by (coordinate on the longest axis,
+        # lowest axis on ties; original index)
+        axis = np.argmax(hi - lo)
+        first = idx[np.lexsort((idx, pts[idx, axis]))[:half]]
+        assert np.array_equal(np.sort(idx[:half]), np.sort(first))
 
 
 @properties

@@ -70,7 +70,7 @@ def test_jump_signal_concentrates_surviving_coefficients():
     top = [s for s in order[:10] if levels[s] >= 0]
     for slot in top:
         for c in basis.tree.clusters:
-            lo, hi = basis.samplet_slots(c)
+            lo, hi = basis.samplet_slots(c.index)
             if lo <= slot < hi:
                 assert c.bbox_lo[0] <= 0.5 <= c.bbox_hi[0] + 0.05
                 break
@@ -83,7 +83,7 @@ def _reference_energies(coeffs):
     slots = coeffs.slots
     energy = np.zeros(len(tree.clusters))
     for cluster in sorted(tree.clusters, key=lambda c: -c.level):
-        lo, hi = basis.samplet_slots(cluster)
+        lo, hi = basis.samplet_slots(cluster.index)
         e = float(np.dot(slots[lo:hi], slots[lo:hi]))
         for child in cluster.children:
             e += energy[child.index]
@@ -159,7 +159,7 @@ def test_coarsen_constant_data_keeps_root_only():
     coeffs = forward_transform(basis, np.full(256, 3.7))
     sub = coarsen_tree(coeffs, 1e-2)
     assert sub.included.sum() == 1
-    assert sub.leaves == [basis.tree.root]
+    assert sub.leaves.tolist() == [basis.tree.root.index]
 
 
 def test_coarsen_epsilon_to_zero_keeps_full_tree():
@@ -188,16 +188,16 @@ def test_coarsen_jump_data_refines_only_straddling_clusters():
     eps = 1e-2
     sub = coarsen_tree(coeffs, eps)
     assert sub.included.sum() > 1
-    for c in sub.refined():
-        assert c.bbox_lo[0] <= 0.5 <= c.bbox_hi[0]
-    # siblings and parents are closed over
     clusters = basis.tree.clusters
+    for i in sub.refined():
+        assert clusters[i].bbox_lo[0] <= 0.5 <= clusters[i].bbox_hi[0]
+    # siblings and parents are closed over
     for c in clusters:
         if sub.included[c.index] and not c.is_leaf:
             kids = [sub.included[k.index] for k in c.children]
             assert kids[0] == kids[1]
     # subtree leaves partition the sites
-    spans = sorted((c.start, c.stop) for c in sub.leaves)
+    spans = sorted((clusters[i].start, clusters[i].stop) for i in sub.leaves)
     assert spans[0][0] == 0 and spans[-1][1] == 1024
     assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
     # restricted reconstruction error within the documented constant slack
@@ -246,8 +246,9 @@ def test_entropy_subsample_leaf_counts_within_3_sigma():
     assert sub.n_leaves == 4
     sample = entropy_subsample(sub, 4000, seed=1234)
     sigma = np.sqrt(4000 * 0.25 * 0.75)
+    tree = sub.basis.tree
     for leaf in sub.leaves:
-        members = set(sub.basis.tree.original_indices(leaf).tolist())
+        members = set(tree.original_indices(tree.clusters[leaf]).tolist())
         count = sum(1 for i in sample if int(i) in members)
         assert abs(count - 1000) <= 3 * sigma
 
@@ -255,9 +256,9 @@ def test_entropy_subsample_leaf_counts_within_3_sigma():
 def test_entropy_subsample_chi_square_uniform_leaves():
     sub = _four_leaf_tree()
     sample = entropy_subsample(sub, 4000, seed=1234)
-    counts = []
+    counts, tree = [], sub.basis.tree
     for leaf in sub.leaves:
-        members = set(sub.basis.tree.original_indices(leaf).tolist())
+        members = set(tree.original_indices(tree.clusters[leaf]).tolist())
         counts.append(sum(1 for i in sample if int(i) in members))
     _, p = stats.chisquare(counts)
     assert p > 0.001

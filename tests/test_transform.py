@@ -141,7 +141,7 @@ def _sweep_reference(basis, values):
         else:
             x = np.concatenate([scaling.pop(c.index) for c in cluster.children])
         scaling[cluster.index] = t[:, :k].T @ x
-        lo, hi = basis.samplet_slots(cluster)
+        lo, hi = basis.samplet_slots(cluster.index)
         coeffs[lo:hi] = t[:, k:].T @ x
     coeffs[: basis.n_scaling] = scaling[tree.root.index]
 
@@ -150,7 +150,7 @@ def _sweep_reference(basis, values):
     while stack:
         cluster, phi = stack.pop()
         t, k = q(cluster), n_sc[cluster.index]
-        lo, hi = basis.samplet_slots(cluster)
+        lo, hi = basis.samplet_slots(cluster.index)
         x = t[:, :k] @ phi + t[:, k:] @ values[lo:hi]
         if cluster.is_leaf:
             back[cluster.start : cluster.stop] = x

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from samplets import PointCloud, build_cluster_tree, cluster_diam, cluster_dist
-from samplets.tree import Cluster
 
 
 def test_median_split_1d_four_points():
@@ -32,22 +31,28 @@ def test_uniform_64_points_exact_level_sizes():
             )
 
 
+def _box(lo, hi):
+    """The cluster with bounding box [lo, hi]: the root of a tree over the
+    corners lo and hi, or over one point when they coincide."""
+    return build_cluster_tree(np.unique([lo, hi], axis=0).astype(float), 2).root
+
+
 def test_cluster_diam_examples():
-    single = Cluster(0, 1, 0, np.array([0.2, 0.7]), np.array([0.2, 0.7]))
+    single = _box([0.2, 0.7], [0.2, 0.7])
     assert cluster_diam(single) == 0.0
-    box = Cluster(0, 4, 0, np.array([0.0, 0.0]), np.array([3.0, 4.0]))
+    box = _box([0.0, 0.0], [3.0, 4.0])
     assert cluster_diam(box) == pytest.approx(5.0)
-    seg = Cluster(0, 2, 0, np.array([-1.0]), np.array([1.0]))
+    seg = _box([-1.0], [1.0])
     assert cluster_diam(seg) == pytest.approx(2.0)
 
 
 def test_cluster_dist_examples():
-    a = Cluster(0, 2, 0, np.array([0.0]), np.array([1.0]))
-    b = Cluster(2, 4, 0, np.array([3.0]), np.array([4.0]))
+    a = _box([0.0], [1.0])
+    b = _box([3.0], [4.0])
     assert cluster_dist(a, a) == 0.0
     assert cluster_dist(a, b) == pytest.approx(2.0)
-    sq1 = Cluster(0, 2, 0, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-    sq2 = Cluster(2, 4, 0, np.array([2.0, 0.0]), np.array([3.0, 1.0]))
+    sq1 = _box([0.0, 0.0], [1.0, 1.0])
+    sq2 = _box([2.0, 0.0], [3.0, 1.0])
     assert cluster_dist(sq1, sq2) == pytest.approx(1.0)
 
 
