@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .compression import compress_assemble, compression_error_report, save_compressed
-from .construction import build_basis, default_leaf_size
+from .construction import build_basis
 from .io import (
     InputError,
     read_coefficients,
@@ -25,7 +25,7 @@ from .io import (
     write_points,
     write_report_csv,
 )
-from .kernels import parse_kernel
+from .kernels import dense_kernel_matrix, parse_kernel
 from .points import PointCloud, rescale_unit_box
 from .signal_ops import coarsen_tree, compression_report, entropy_subsample
 from .solvers import (
@@ -35,7 +35,12 @@ from .solvers import (
     solve_interpolation,
     solve_pursuit,
 )
-from .transform import CoefficientVector, forward_transform, inverse_transform
+from .transform import (
+    CoefficientVector,
+    forward_transform,
+    inverse_transform,
+    transform_matrix_congruence,
+)
 
 
 def _floats(text):
@@ -67,7 +72,6 @@ _PARAMS = {
         help="comma-separated relative thresholds")),
     "kernels": (("--kernel",), dict(action="append", required=True)),
     "weight": (("--weight",), dict(type=float, default=1e-6)),
-    "step": (("--step",), dict(type=float)),
     "n": (("-n",), dict(type=int, required=True, help="sample size")),
     "seed": (("--seed",), dict(type=int, default=0)),
     "rescale": (("--rescale-unit-box",), dict(
@@ -103,6 +107,8 @@ class _RunSpec:
             raise InputError("moment degree must be >= 0")
         if self.eta <= 0:
             raise InputError("eta must be positive")
+        if self.interp_degree < 0:
+            raise InputError("interpolation degree must be >= 0")
         if not 0 < self.epsilon < 1:
             raise InputError("epsilon must lie in (0, 1)")
         if self.ridge < 0:
@@ -145,10 +151,7 @@ def _load_cloud(spec: RunSpec, need_values=False):
 
 
 def _build(spec: RunSpec, cloud: PointCloud):
-    leaf = spec.leaf_size or default_leaf_size(spec.moment_degree, cloud.dim)
-    return build_basis(
-        cloud, spec.moment_degree, leaf_size=leaf, carry_degree=spec.carry_degree
-    )
+    return build_basis(cloud, spec.moment_degree, spec.leaf_size, spec.carry_degree)
 
 
 def _rescale_meta(offset, scale):
@@ -255,12 +258,7 @@ def _run_interpolate(spec: RunSpec):
     kernel = parse_kernel(spec.kernels[0])
     rhs = forward_transform(basis, cloud.values)
     if spec.dense:
-        from .kernels import dense_kernel_matrix
-        from .transform import transform_matrix_congruence
-
-        matrix = transform_matrix_congruence(
-            basis, dense_kernel_matrix(kernel, cloud)
-        )
+        matrix = transform_matrix_congruence(basis, dense_kernel_matrix(kernel, cloud))
     else:
         matrix = compress_assemble(basis, kernel, spec.eta, spec.interp_degree)
     problem = InterpolationProblem(
@@ -292,7 +290,6 @@ def _run_pursue(spec: RunSpec):
         mats,
         rhs,
         weights=spec.weight,
-        step=spec.step,
         tol=spec.tol * (1.0 + float(np.linalg.norm(rhs.slots))),
         max_iter=spec.max_iter,
     )
@@ -353,7 +350,7 @@ COMMANDS = {
     "interpolate": _Command("regularized kernel interpolation", _run_interpolate,
                             _COMMON + _KERNEL + ("ridge", "tol", "max_iter", "dense")),
     "pursue": _Command("weighted l1 multi-kernel basis pursuit", _run_pursue,
-                       _COMMON + _KERNEL + ("weight", "step", "tol", "max_iter"),
+                       _COMMON + _KERNEL + ("weight", "tol", "max_iter"),
                        defaults={"max_iter": 200}),
     "report": _Command("compression accuracy/size sweep", _run_report,
                        _COMMON + _KERNEL),

@@ -23,7 +23,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-import scipy.sparse
 
 from .construction import build_samplet_basis, cluster_weight_matrix
 from .kernels import dense_kernel_matrix, kernel_matrix
@@ -210,18 +209,21 @@ class _Layout:
             self.size = self.stored
             self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
             self.indices = np.empty(self.stored, dtype=index)
+            # row cluster i's column pattern is the slot ranges of its blocks,
+            # one for all its rows
+            shift = slots[col, 0] - ends[:-1]
+            for i in np.flatnonzero(width).tolist():
+                k0, k1 = first[i], first[i + 1]
+                pattern = np.arange(ends[k0], ends[k1])
+                pattern += np.repeat(shift[k0:k1], width[col[k0:k1]])
+                self.indices[base[i] : base[i + 1]].reshape(width[i], -1)[:] = pattern
         self.at = base[row] + offset
-        if not self.dense:
-            start = slots[col, 0, None, None]  # each block's first column
-            for *_, runs in self.pieces():
-                for r, c, s, blocks, at, _ in runs:
-                    _blocks_at(self.indices, r, c, s)[at] = start[blocks] + np.arange(c)
 
     def pieces(self):
         """The stored blocks in key order, in pieces of at most _BATCH_BYTES
         of SMPB words that split no block: per piece its word count, its
         blocks' header words and headers (row, col, rows, cols), and its runs
-        of one shape, (rows, cols, data row stride, blocks, `at`, value words)."""
+        of one shape, (rows, cols, data row stride, `at`, value words)."""
         width, keys = np.array(self.width), self.keys
         size = width[keys[:, 0]] * width[keys[:, 1]]
         end = np.cumsum(size + 4)  # past each block's words
@@ -246,7 +248,7 @@ class _Layout:
         runs = np.stack([r, key % radix, s, bounds, np.append(bounds[1:], len(order))], 1).tolist()
         at, words = self.at[order], head[order] + 4
         for p, (k0, k1) in enumerate(zip(cuts, cuts[1:])):
-            part = [(r, c, s, order[a:b], at[a:b], words[a:b])
+            part = [(r, c, s, at[a:b], words[a:b])
                     for r, c, s, a, b in runs[edge[p] : edge[p + 1]]]
             header = np.concatenate([keys[k0:k1], width[keys[k0:k1]]], axis=1)
             yield int(start[p + 1] - start[p]), head[k0:k1], header, part
@@ -282,6 +284,8 @@ class CompressedKernelMatrix:
         if layout.dense:
             self.op = data.reshape(self.n, self.n)
         else:
+            import scipy.sparse  # loaded only where a matrix is stored as CSR
+
             self.op = scipy.sparse.csr_array(
                 (data, layout.indices, layout.indptr), shape=(self.n, self.n)
             )
@@ -320,10 +324,6 @@ class CompressedKernelMatrix:
             raise ValueError(f"dense guard exceeded: {self.n} > {guard}")
         return self.op.copy() if self.layout.dense else self.op.toarray()
 
-    @property
-    def shape(self):
-        return (self.n, self.n)
-
 
 def compress_assemble(
     basis, spec, eta: float, interp_degree: int = 6
@@ -344,6 +344,8 @@ def compress_assemble(
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if interp_degree < 0:
+        raise ValueError("interpolation degree must be >= 0")
     tree = basis.tree
     pattern = _pattern(tree, eta)
     layout = _Layout(basis, pattern)
@@ -545,7 +547,7 @@ def save_compressed(m: CompressedKernelMatrix, path):
         for count, heads, headers, runs in layout.pieces():
             values = np.empty(count, "<f8")
             _blocks_at(values.view("<u8"), 1, 4, 4)[heads, 0] = headers
-            for r, c, s, _, at, word in runs:
+            for r, c, s, at, word in runs:
                 _blocks_at(values, r, c, c)[word] = _blocks_at(m.data, r, c, s)[at]
             fh.write(values)
 
@@ -589,6 +591,6 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                     f"block (row, col, rows, cols) = {tuple(got[k].tolist())} does "
                     f"not match the basis, which gives {tuple(want[k].tolist())}"
                 )
-            for r, c, s, _, at, word in runs:
+            for r, c, s, at, word in runs:
                 _blocks_at(data, r, c, s)[at] = _blocks_at(values, r, c, c)[word]
     return CompressedKernelMatrix(basis, layout, data)

@@ -416,14 +416,11 @@ def build_samplet_basis(
 
 def build_basis(cloud, moment_degree, leaf_size=None, carry_degree=None):
     """Convenience: cluster tree plus samplet basis in one call."""
-    if isinstance(cloud, ClusterTree):
-        tree = cloud
-    else:
-        if not isinstance(cloud, PointCloud):
-            cloud = PointCloud(cloud)
-        if leaf_size is None:
-            leaf_size = default_leaf_size(moment_degree, cloud.dim)
-        tree = build_cluster_tree(cloud, leaf_size)
+    if not isinstance(cloud, PointCloud):
+        cloud = PointCloud(cloud)
+    if leaf_size is None:
+        leaf_size = default_leaf_size(moment_degree, cloud.dim)
+    tree = build_cluster_tree(cloud, leaf_size)
     return build_samplet_basis(tree, moment_degree, carry_degree)
 
 

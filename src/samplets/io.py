@@ -29,14 +29,11 @@ def _sniff_format(path):
         return "binary" if fh.read(4) == POINTS_MAGIC else "csv"
 
 
-def read_points(path, format: str | None = None) -> PointCloud:
-    """Read a point cloud; format 'csv', 'binary', or None to sniff."""
-    fmt = format or _sniff_format(path)
-    if fmt == "csv":
+def read_points(path) -> PointCloud:
+    """Read a point cloud, CSV or binary as the file's name and magic say."""
+    if _sniff_format(path) == "csv":
         return _read_points_csv(path)
-    if fmt == "binary":
-        return _read_points_binary(path)
-    raise InputError(f"unknown points format '{fmt}'")
+    return _read_points_binary(path)
 
 
 def write_points(cloud: PointCloud, path, format: str | None = None):

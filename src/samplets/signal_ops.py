@@ -81,7 +81,6 @@ class EnergyTree:
                 child_sum * modified[p], denom, out=np.zeros_like(denom), where=denom > 0
             )
             modified[tree.children[p]] = q[:, None]
-        self.basis = basis
         self.energy = energy
         self.modified = modified
 

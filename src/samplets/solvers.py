@@ -161,7 +161,6 @@ class PursuitProblem:
     dictionary: list
     data: object
     weights: object = 0.0
-    step: float | None = None
     tol: float | None = None
     max_iter: int = 200
 
@@ -254,9 +253,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     lam_max = _power_lambda_max(op, total)
-    gamma = p.step if p.step is not None else (0.9 / lam_max if lam_max else 1.0)
-    if gamma <= 0:
-        raise ValueError("step must be positive")
+    gamma = 0.9 / lam_max if lam_max else 1.0
     tol = p.tol if p.tol is not None else 1e-8 * (1.0 + np.linalg.norm(h))
     kth = op.apply_adjoint(h)
     # stacked dictionaries are underdetermined, so the restricted normal

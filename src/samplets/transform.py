@@ -26,9 +26,9 @@ class CoefficientVector:
         self.basis = basis
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.slots
-        return self.slots.astype(dtype)
+        # NumPy 2's protocol: np.asarray shares the slots, np.array copies
+        # them, and copy=False refuses a cast
+        return np.array(self.slots, dtype=dtype, copy=copy)
 
     def __len__(self):
         return self.slots.shape[0]
@@ -36,9 +36,6 @@ class CoefficientVector:
     @property
     def nnz(self):
         return int(np.count_nonzero(self.slots))
-
-    def copy(self):
-        return CoefficientVector(self.slots.copy(), self.basis)
 
 
 def _rows(values, n):

@@ -77,6 +77,12 @@ def test_is_admissible_examples():
         is_admissible(a, a, 0.0)
 
 
+def test_negative_interpolation_degree_rejected(setup256):
+    cloud, spec, basis, dense = setup256
+    with pytest.raises(ValueError, match="interpolation degree"):
+        compress_assemble(basis, spec, eta=1.25, interp_degree=-1)
+
+
 def test_huge_eta_reproduces_dense_matrix(setup256):
     cloud, spec, basis, dense = setup256
     comp = compress_assemble(basis, spec, eta=1e9, interp_degree=3)
@@ -311,6 +317,21 @@ def test_add_compressed_csr_and_mixed_forms(csr1024):
         assert total.layout.dense and total.pattern.eta == 1.5
         np.testing.assert_array_equal(total.pattern.pairs, hi.pattern.pairs)
         assert np.array_equal(total.to_dense(), lo.to_dense() + hi.to_dense())
+
+
+def test_csr_columns_match_the_layout(csr1024):
+    # to_dense reads the CSR's indices and indptr, `blocks` the layout's at
+    # and stride: both must put every block at its pair's slot ranges; the
+    # clouds of test_add_compressed_csr_and_mixed_forms
+    mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
+    for basis, eta in ((csr1024[0], 1.25), (mixed, 1.0)):
+        comp = compress_assemble(basis, csr1024[1], eta=eta, interp_degree=5)
+        assert not comp.layout.dense
+        placed = np.zeros((basis.n, basis.n))
+        slots = basis.slots.tolist()
+        for (i, j), block in comp.blocks.items():
+            placed[slots[i][0] : slots[i][1], slots[j][0] : slots[j][1]] = block
+        assert np.array_equal(comp.to_dense(), placed)
 
 
 def test_storage_form_follows_stored_share(setup256, csr1024):

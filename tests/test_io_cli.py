@@ -329,6 +329,26 @@ def test_assemble_reports_stored_block_count(cloud_csv, tmp_path, monkeypatch, c
     assert found.group(2) == ("dense" if matrix.layout.dense else "csr") == "dense"
 
 
+def test_negative_interpolation_degree_exit_2(cloud_csv, tmp_path, capsys):
+    path, _, _ = cloud_csv
+    assert main([
+        "assemble", str(path), "-o", str(tmp_path / "mat.smpb"), "--kernel",
+        "gauss(l=0.3)", "--degree", "-1",
+    ]) == 2
+    assert "interpolation degree must be >= 0" in capsys.readouterr().err
+    with pytest.raises(InputError, match="interpolation degree"):
+        RunSpec("assemble", str(path), kernels=["gauss(l=0.3)"], interp_degree=-1)
+
+
+def test_leaf_size_zero_exit_2(cloud_csv, tmp_path, capsys):
+    # the echoed leaf size is the one the run uses, so 0 is refused, not
+    # replaced by the default
+    path, _, _ = cloud_csv
+    assert main(["transform", str(path), "-o", str(tmp_path / "c.csv"), "--leaf-size", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "leaf_size=0" in err and "leaf_size must be >= 1" in err
+
+
 def test_sites_without_coordinates_exit_2(tmp_path, capsys):
     path = tmp_path / "values.csv"
     path.write_text("value\n1.0\n2.0\n")

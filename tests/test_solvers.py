@@ -289,5 +289,3 @@ def test_pursuit_rejects_bad_arguments(dense64):
         solve_pursuit(PursuitProblem([], h))
     with pytest.raises(ValueError):
         solve_pursuit(PursuitProblem([K], h, weights=-1.0))
-    with pytest.raises(ValueError):
-        solve_pursuit(PursuitProblem([K], h, weights=1.0, step=-0.1))

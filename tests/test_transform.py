@@ -112,6 +112,19 @@ def test_length_mismatch_and_basis_mismatch():
         inverse_transform(other, coeffs)
 
 
+def test_array_protocol_copies_when_asked():
+    basis = build_basis(np.random.default_rng(18).random((32, 2)), 1)
+    coeffs = forward_transform(basis, np.arange(32.0))
+    before = coeffs.slots.copy()
+    copied = np.array(coeffs)
+    copied[0] += 1.0
+    assert np.array_equal(coeffs.slots, before)
+    assert np.shares_memory(np.asarray(coeffs), coeffs.slots)
+    assert np.asarray(coeffs, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.array(coeffs, dtype=np.float32, copy=False)
+
+
 def test_matrix_valued_transform_consistent(basis512):
     rng = np.random.default_rng(19)
     F = rng.standard_normal((512, 3))
