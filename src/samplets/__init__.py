@@ -3,7 +3,6 @@ scattered data, with fast transforms, data compression, compressed kernel
 matrices, and sparse recovery."""
 
 from .compression import (
-    BlockPattern,
     CompressedKernelMatrix,
     add_compressed,
     compress_assemble,
@@ -59,7 +58,6 @@ from .tree import Cluster, ClusterTree, build_cluster_tree, cluster_diam, cluste
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockPattern",
     "CoarsenedTree",
     "CoefficientVector",
     "Cluster",

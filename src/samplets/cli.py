@@ -105,16 +105,23 @@ class _RunSpec:
             setattr(self, name, value)
         if self.moment_degree < 0:
             raise InputError("moment degree must be >= 0")
-        if self.eta <= 0:
+        # each test is written so that NaN fails it
+        if not self.eta > 0:
             raise InputError("eta must be positive")
         if self.interp_degree < 0:
             raise InputError("interpolation degree must be >= 0")
         if not 0 < self.epsilon < 1:
             raise InputError("epsilon must lie in (0, 1)")
-        if self.ridge < 0:
-            raise InputError("ridge must be nonnegative")
-        if any(t < 0 for t in self.thresholds):
+        if not 0 <= self.ridge < np.inf:
+            raise InputError("ridge must be nonnegative and finite")
+        if not 0 <= self.weight < np.inf:
+            raise InputError("weight must be nonnegative and finite")
+        if not all(t >= 0 for t in self.thresholds):
             raise InputError("thresholds must be nonnegative")
+        if not 0 < self.tol < np.inf:
+            raise InputError("tol must be positive and finite")
+        if self.max_iter < 1:
+            raise InputError("max_iter must be >= 1")
 
     @classmethod
     def from_dict(cls, data):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .construction import build_samplet_basis, cluster_weight_matrix
 from .kernels import dense_kernel_matrix, kernel_matrix
+from .points import DENSE_GUARD
 from .transform import CoefficientVector, transform_matrix_congruence
 from .tree import box_dist, cluster_diam, cluster_dist
 
@@ -44,7 +45,7 @@ def is_admissible(a, b, eta: float) -> bool:
     assembly additionally requires positive distance before trusting the
     far-field expansion.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     return cluster_dist(a, b) >= eta * max(cluster_diam(a), cluster_diam(b))
 
@@ -113,17 +114,8 @@ class _Chebyshev:
         return ev
 
 
-@dataclass
-class BlockPattern:
-    """Retained cluster pairs of both triangles, an (m, 2) array in
-    ascending (row, col) order, and the separation parameter eta."""
-
-    pairs: np.ndarray
-    eta: float
-
-
 def _pattern(tree, eta):
-    """All cluster pairs failing the separation test, as a BlockPattern.
+    """The cluster pairs (i, j) failing the separation test, an ascending (m, 2) array.
 
     Pairs i <= j are enumerated from (root, root) one total level (level of
     i plus level of j) at a time: the one-sided child pairs of every
@@ -151,7 +143,7 @@ def _pattern(tree, eta):
         front = np.stack(np.divmod(cand, n), axis=1)
     upper = np.concatenate(kept)
     keys = _unique(np.concatenate([upper @ [n, 1], upper @ [1, n]]))
-    return BlockPattern(np.stack(np.divmod(keys, n), axis=1), eta)
+    return np.stack(np.divmod(keys, n), axis=1)
 
 
 def _blocks_at(buf, rows, cols, stride):
@@ -163,34 +155,34 @@ def _blocks_at(buf, rows, cols, stride):
 
 
 class _Layout:
-    """Where each stored block of a pattern lives in the operator's data.
+    """The retained pattern `pairs` of a basis and `eta`, and where each of
+    its stored blocks lives in the operator's data.
 
-    The stored blocks `keys` are the pattern's pairs whose clusters both own
-    slots, in ascending (row, col) order; `code` holds them as
-    i * clusters + j, and `stored` counts their entries.  Where those fill
-    at least half of N x N (`dense`), the data is one row-major N x N array,
-    zero off the pattern; otherwise it is the data of a CSR matrix with
-    `indices` and `indptr`.
+    The stored blocks `keys` are the pairs whose clusters both own slots, in
+    ascending (row, col) order; `code` holds them as i * clusters + j, and
+    `stored` counts their entries.  Where those fill at least half of N x N
+    (`dense`), the data is one row-major N x N array, zero off the pattern;
+    otherwise it is the data of a CSR matrix with `indices` and `indptr`.
 
     The rows of row cluster i form one row-major (width[i], stride[i])
-    array.  In the dense form that is all N columns, and block
-    (i, j) starts at column slots[j, 0].  In the CSR form it is the
+    array from `base[i]` on.  In the dense form that is all N columns, and
+    block (i, j) starts at column slots[j, 0].  In the CSR form it is the
     ascending slot ranges of i's blocks, one column pattern that all its
     rows share, and each block starts where the one before it ends.  Entry
     (r, s) of the k-th stored block (i, j) lies at `at[k] + r * stride[i] +
     s`.
     """
 
-    def __init__(self, basis, pattern):
+    def __init__(self, basis, eta):
         slots, n = basis.slots, basis.n
         width = slots[:, 1] - slots[:, 0]
-        pairs = pattern.pairs
+        pairs = self.pairs = _pattern(basis.tree, eta)
         keys = pairs[(width[pairs[:, 0]] > 0) & (width[pairs[:, 1]] > 0)]
         row, col = keys.T
         first = np.searchsorted(row, np.arange(len(slots) + 1))  # row i's keys
         ends = np.append(0, np.cumsum(width[col]))
         row_len = ends[first[1:]] - ends[first[:-1]]
-        self.pattern = pattern
+        self.eta = eta
         self.keys = keys
         self.code = keys @ [len(slots), 1]
         self.stored = int(width @ row_len)
@@ -217,6 +209,7 @@ class _Layout:
                 pattern = np.arange(ends[k0], ends[k1])
                 pattern += np.repeat(shift[k0:k1], width[col[k0:k1]])
                 self.indices[base[i] : base[i + 1]].reshape(width[i], -1)[:] = pattern
+        self.base = base
         self.at = base[row] + offset
 
     def pieces(self):
@@ -278,7 +271,6 @@ class CompressedKernelMatrix:
     def __init__(self, basis, layout, data):
         self.basis = basis
         self.layout = layout
-        self.pattern = layout.pattern
         self.n = basis.n
         self.data = data
         if layout.dense:
@@ -319,9 +311,9 @@ class CompressedKernelMatrix:
     def __matmul__(self, v):
         return self.matvec(v)  # looked up per call, so a wrapped matvec sees it too
 
-    def to_dense(self, guard: int = 8192) -> np.ndarray:
-        if self.n > guard:
-            raise ValueError(f"dense guard exceeded: {self.n} > {guard}")
+    def to_dense(self) -> np.ndarray:
+        if self.n > DENSE_GUARD:
+            raise ValueError(f"dense guard exceeded: {self.n} > {DENSE_GUARD}")
         return self.op.copy() if self.layout.dense else self.op.toarray()
 
 
@@ -342,20 +334,19 @@ def compress_assemble(
     grids otherwise.  Everything beyond the fringe is never materialized,
     and stored entries go straight into the operator's data.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise ValueError("eta must be positive")
     if interp_degree < 0:
         raise ValueError("interpolation degree must be >= 0")
     tree = basis.tree
-    pattern = _pattern(tree, eta)
-    layout = _Layout(basis, pattern)
+    layout = _Layout(basis, eta)
     cheb = _Chebyshev(tree, interp_degree)
     groups, gid, pos = basis.groups, basis.group, basis.position
     n, n_in, n_sc = len(tree.level), basis.n_in, basis.n_sc
     keep = n_in - np.array(layout.width)  # leading rows not stored; 0 at the root
     children, level, size = tree.children, tree.level, tree.size
     leaf = children[:, 0] < 0
-    i, j = pattern.pairs[pattern.pairs[:, 0] <= pattern.pairs[:, 1]].T
+    i, j = layout.pairs[layout.pairs[:, 0] <= layout.pairs[:, 1]].T
     kind = np.where(leaf[i] & leaf[j], _EXACT, _COLS)
     kind[~leaf[i] & ((level[i] <= level[j]) | leaf[j])] = _ROWS
     # the fringe: child pairs that retained pairs refine into and that are
@@ -479,17 +470,25 @@ def add_compressed(
     a: CompressedKernelMatrix, b: CompressedKernelMatrix
 ) -> CompressedKernelMatrix:
     """Blockwise sum; both operands must share a basis.  The pattern of the
-    larger eta holds both operands' patterns, so it is their union, and its
-    form is dense where either operand's is."""
+    larger eta holds both operands' patterns, so it is their union: the sum
+    takes that operand's layout and adds the other one's rows to a copy of
+    its data, one row cluster at a time."""
     if a.basis is not b.basis:
         raise ValueError("basis mismatch: operands built over different bases")
-    layout = _Layout(a.basis, _pattern(a.basis.tree, max(a.pattern.eta, b.pattern.eta)))
-    total = a.op + b.op
-    if layout.dense:
-        data = total.ravel()
-    else:
-        rows = np.repeat(np.arange(a.n), np.diff(layout.indptr))
-        data = total[rows, layout.indices]
+    if a.layout.eta < b.layout.eta:
+        a, b = b, a
+    layout, other = a.layout, b.layout
+    data = a.data.copy()
+    for i in np.flatnonzero(layout.width).tolist():
+        rows = data[layout.base[i] : layout.base[i + 1]].reshape(layout.width[i], -1)
+        add = b.data[other.base[i] : other.base[i + 1]].reshape(len(rows), -1)
+        if rows.shape == add.shape:
+            rows += add
+        else:  # the other operand is CSR; its rows share their first row's columns
+            cols = other.indices[other.base[i] :][: add.shape[1]]
+            if not layout.dense:
+                cols = np.searchsorted(layout.indices[layout.base[i] :][: rows.shape[1]], cols)
+            rows[:, cols] += add
     return CompressedKernelMatrix(a.basis, layout, data)
 
 
@@ -500,9 +499,7 @@ class CompressionRow:
     rel_frobenius_error: float
 
 
-def compression_error_report(
-    basis, spec, eta, moment_degrees, interp_degree=6, guard=8192
-):
+def compression_error_report(basis, spec, eta, moment_degrees, interp_degree=6):
     """Accuracy/size sweep over the vanishing-moment degree.
 
     Rebuilds the basis for each degree on the same cluster tree, compresses,
@@ -510,15 +507,13 @@ def compression_error_report(
     samplet-coordinate matrix.
     """
     tree = basis.tree
-    K = dense_kernel_matrix(spec, tree.cloud, guard=guard)
+    K = dense_kernel_matrix(spec, tree.cloud)
     rows = []
     for q in moment_degrees:
         b = build_samplet_basis(tree, q)
-        dense = transform_matrix_congruence(b, K, guard=guard)
+        dense = transform_matrix_congruence(b, K)
         comp = compress_assemble(b, spec, eta, interp_degree)
-        err = float(
-            np.linalg.norm(comp.to_dense(guard) - dense) / np.linalg.norm(dense)
-        )
+        err = float(np.linalg.norm(comp.to_dense() - dense) / np.linalg.norm(dense))
         rows.append(CompressionRow(q, comp.nnz, err))
     return rows
 
@@ -540,7 +535,7 @@ def save_compressed(m: CompressedKernelMatrix, path):
                 1,
                 m.n,
                 m.basis.moment_degree,
-                m.pattern.eta,
+                layout.eta,
                 len(layout.keys),
             )
         )
@@ -571,7 +566,7 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 f"container (N={n}, degree={degree}) does not match basis "
                 f"(N={basis.n}, degree={basis.moment_degree})"
             )
-        layout = _Layout(basis, _pattern(basis.tree, eta))
+        layout = _Layout(basis, eta)
         stored = len(layout.keys)
         size = os.fstat(fh.fileno()).st_size
         expected = _PREAMBLE + _BLOCK_HEADER * stored + 8 * layout.stored

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .points import PointCloud
+from .points import DENSE_GUARD, PointCloud
 from .tree import ClusterTree, build_cluster_tree
 
 
@@ -452,12 +452,12 @@ def cluster_weight_matrix(basis, i, visit=None):
     return weights
 
 
-def assemble_dense_transform(basis: SampletBasis, guard: int = 8192) -> np.ndarray:
+def assemble_dense_transform(basis: SampletBasis) -> np.ndarray:
     """Dense orthogonal transform matrix, rows in slot order and columns in
     original point order.  Test/oracle utility, guarded against large N."""
     n = basis.n
-    if n > guard:
-        raise ValueError(f"dense transform guard exceeded: {n} > {guard}")
+    if n > DENSE_GUARD:
+        raise ValueError(f"dense transform guard exceeded: {n} > {DENSE_GUARD}")
     tree = basis.tree
     T = np.zeros((n, n))
 

@@ -179,6 +179,11 @@ def read_coefficients(path):
         raise InputError(f"{path}: missing sidecar {meta_file}")
     with open(meta_file, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise InputError(f"{meta_file}: sidecar is not a JSON object")
+    for key in ("moment_degree", "carry_degree", "leaf_size", "permutation"):
+        if key not in meta:
+            raise InputError(f"{meta_file}: sidecar lacks '{key}'")
     if len(slots) != meta.get("n"):
         raise InputError(
             f"{path}: {len(slots)} coefficients but sidecar says n={meta.get('n')}"

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 
+from .points import DENSE_GUARD
+
 _SQRT3 = np.sqrt(3.0)
 _SQRT5 = np.sqrt(5.0)
 _CHUNK = 1 << 17  # entries of the one temporary of _distances
@@ -58,8 +60,8 @@ class Matern:
     """
 
     def __init__(self, nu, lengthscale):
-        if lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
+        if not 0 < lengthscale < np.inf:
+            raise ValueError("lengthscale must be positive and finite")
         if nu not in (0.5, 1.5, 2.5, np.inf):
             raise ValueError(f"unsupported smoothness nu={nu}; use 1/2, 3/2, 5/2 or inf")
         self.nu = float(nu)
@@ -105,10 +107,10 @@ class PeriodicGaussian:
     distance, so r = l maps back to 1."""
 
     def __init__(self, scale, lengthscale=1.0):
-        if lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < lengthscale < np.inf:
+            raise ValueError("lengthscale must be positive and finite")
+        if not 0 < scale < np.inf:
+            raise ValueError("scale must be positive and finite")
         self.scale = float(scale)
         self.lengthscale = float(lengthscale)
 
@@ -186,13 +188,13 @@ def kernel_matrix(spec, x, y) -> np.ndarray:
     return spec.pairwise(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
-def dense_kernel_matrix(spec, cloud, guard: int = 8192) -> np.ndarray:
+def dense_kernel_matrix(spec, cloud) -> np.ndarray:
     """Full kernel matrix of a point cloud; exactly symmetric, with a unit
     diagonal, since the distances are."""
     pts = cloud.points if hasattr(cloud, "points") else np.asarray(cloud, float)
     n = pts.shape[0]
-    if n > guard:
-        raise ValueError(f"dense kernel guard exceeded: {n} > {guard}")
+    if n > DENSE_GUARD:
+        raise ValueError(f"dense kernel guard exceeded: {n} > {DENSE_GUARD}")
     return spec.pairwise(pts, pts)
 
 

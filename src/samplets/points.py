@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+DENSE_GUARD = 8192  # the most sites the dense N x N reference paths accept
+
 
 class PointCloud:
     """N data sites in d dimensions, optionally carrying one value per site.

@@ -13,7 +13,7 @@ from .transform import CoefficientVector, forward_transform, inverse_transform
 def hard_threshold(coeffs: CoefficientVector, w: float) -> CoefficientVector:
     """Zero all coefficients with magnitude below w (entries with |c| >= w
     survive).  Survivor count and space saving follow from `thresholding_stats`."""
-    if w < 0:
+    if not w >= 0:
         raise ValueError("threshold must be nonnegative")
     slots = np.where(np.abs(coeffs.slots) >= w, coeffs.slots, 0.0)
     return CoefficientVector(slots, coeffs.basis)

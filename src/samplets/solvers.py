@@ -119,8 +119,8 @@ def solve_interpolation(p: InterpolationProblem):
     Returns (solution, report); the solution mirrors the rhs type, so a
     CoefficientVector rhs yields a CoefficientVector tied to the same basis.
     """
-    if p.ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= p.ridge < np.inf:
+        raise ValueError("ridge must be nonnegative and finite")
     rhs = _as_array(p.rhs)
 
     def apply(x):
@@ -143,7 +143,7 @@ def soft_shrink(v, w):
     w = np.asarray(w, dtype=float)
     if w.ndim and w.shape != v.shape:
         raise ValueError("weight shape does not match")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise ValueError("weights must be nonnegative")
     return np.sign(v) * np.maximum(np.abs(v) - w, 0.0)
 
@@ -250,8 +250,8 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
     # not copied: the objective then dots the weights as pursuit_objective
     # does, to the same bits
     w = np.broadcast_to(np.asarray(p.weights, dtype=float), (total,))
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all((w >= 0) & (w < np.inf)):
+        raise ValueError("weights must be nonnegative and finite")
     lam_max = _power_lambda_max(op, total)
     gamma = 0.9 / lam_max if lam_max else 1.0
     tol = p.tol if p.tol is not None else 1e-8 * (1.0 + np.linalg.norm(h))
@@ -333,7 +333,7 @@ def solve_pursuit(p: PursuitProblem) -> PursuitResult:
     else:
         z = beta + gamma * grad
         res = float(np.linalg.norm(beta - soft_shrink(z, gamma * w)))
-        if res > tol:
+        if not res <= tol:  # a NaN residual has not converged
             raise SolverError(
                 f"pursuit did not reach {tol:.3e} in {p.max_iter} iterations "
                 f"(residual {res:.3e})",

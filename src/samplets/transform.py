@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construction import SampletBasis
+from .points import DENSE_GUARD
 
 
 class CoefficientVector:
@@ -80,9 +81,7 @@ def inverse_transform(basis: SampletBasis, coeffs):
     return out
 
 
-def transform_matrix_congruence(
-    basis: SampletBasis, dense: np.ndarray, guard: int = 8192
-) -> np.ndarray:
+def transform_matrix_congruence(basis: SampletBasis, dense: np.ndarray) -> np.ndarray:
     """Two-sided transform of a dense matrix into samplet coordinates.
 
     Applies the forward transform to all columns, then to all rows; for the
@@ -92,7 +91,7 @@ def transform_matrix_congruence(
     n = basis.n
     if dense.shape != (n, n):
         raise ValueError(f"expected ({n}, {n}) matrix, got {dense.shape}")
-    if n > guard:
-        raise ValueError(f"dense congruence guard exceeded: {n} > {guard}")
+    if n > DENSE_GUARD:
+        raise ValueError(f"dense congruence guard exceeded: {n} > {DENSE_GUARD}")
     cols = forward_transform(basis, dense)
     return forward_transform(basis, np.ascontiguousarray(cols.T)).T

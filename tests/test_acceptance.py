@@ -209,7 +209,7 @@ def test_criterion_7_pattern_correctness(exp_kernel):
         return d >= 1.25 * max(cluster_diam(a), cluster_diam(b)) and d > 0
 
     bad_ancestors = 0
-    for row, col in comp.pattern.pairs.tolist():
+    for row, col in comp.layout.pairs.tolist():
         stack = [(row, col)]
         seen = set()
         while stack:

@@ -75,6 +75,14 @@ def test_is_admissible_examples():
     assert not is_admissible(_box([0.0], [2.0]), _box([3.0], [4.0]), 2.0)
     with pytest.raises(ValueError):
         is_admissible(a, a, 0.0)
+    with pytest.raises(ValueError, match="eta must be positive"):
+        is_admissible(a, a, np.nan)
+
+
+def test_nan_eta_rejected(setup256):
+    cloud, spec, basis, dense = setup256
+    with pytest.raises(ValueError, match="eta must be positive"):
+        compress_assemble(basis, spec, eta=np.nan)
 
 
 def test_negative_interpolation_degree_rejected(setup256):
@@ -87,7 +95,7 @@ def test_huge_eta_reproduces_dense_matrix(setup256):
     cloud, spec, basis, dense = setup256
     comp = compress_assemble(basis, spec, eta=1e9, interp_degree=3)
     assert np.abs(comp.to_dense() - dense).max() < 1e-10
-    assert len(comp.pattern.pairs) == len(basis.tree.clusters) ** 2
+    assert len(comp.layout.pairs) == len(basis.tree.clusters) ** 2
     rng = np.random.default_rng(41)
     v = rng.standard_normal(256)
     assert np.abs(comp.matvec(v) - dense @ v).max() < 1e-10
@@ -207,7 +215,7 @@ def test_pattern_transitivity(seed, leaf_size, eta):
                     stack.append(nxt)
         return out
 
-    retained = {(i, j) for i, j in comp.pattern.pairs.tolist()}
+    retained = {(i, j) for i, j in comp.layout.pairs.tolist()}
     fringe = 0
     for i, j in retained:
         assert not admissible_pair(i, j)
@@ -271,7 +279,23 @@ def test_dropped_blocks_follow_decay_law(setup256):
     assert 0.5 < slope < 2.0
 
 
-def test_add_compressed(setup256):
+def _checked_sum(monkeypatch, a, b):
+    """add_compressed(a, b), checked to build no layout, to take the layout
+    of the operand with the larger eta (a's where the etas are equal) and to
+    hold the sum of the operands' entries."""
+
+    def no_layout(*args):
+        raise AssertionError("add_compressed built a layout")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(compression, "_Layout", no_layout)
+        total = add_compressed(a, b)
+    assert total.layout is (b if b.layout.eta > a.layout.eta else a).layout
+    assert np.array_equal(total.to_dense(), a.to_dense() + b.to_dense())
+    return total
+
+
+def test_add_compressed(setup256, monkeypatch):
     cloud, spec, basis, dense = setup256
     spec2 = Matern(1.5, 0.2)
     dense2 = transform_matrix_congruence(basis, dense_kernel_matrix(spec2, cloud))
@@ -279,44 +303,57 @@ def test_add_compressed(setup256):
     b = compress_assemble(basis, spec2, eta=1.25, interp_degree=5)
     err_a = np.linalg.norm(a.to_dense() - dense)
     err_b = np.linalg.norm(b.to_dense() - dense2)
-    both = add_compressed(a, b)
+    both = _checked_sum(monkeypatch, a, b)
     gap = np.linalg.norm(both.to_dense() - (dense + dense2))
     assert gap <= err_a + err_b + 1e-12
-    doubled = add_compressed(a, a)
+    doubled = _checked_sum(monkeypatch, a, a)
     np.testing.assert_allclose(doubled.to_dense(), 2 * a.to_dense(), atol=1e-14)
     # operands at different eta: the sum lives on the larger eta's pattern,
     # which holds the smaller one's
     lo = compress_assemble(basis, spec, eta=1.0, interp_degree=5)
     hi = compress_assemble(basis, spec2, eta=1.5, interp_degree=5)
-    total = add_compressed(lo, hi)
-    assert total.pattern.eta == 1.5
-    np.testing.assert_array_equal(total.pattern.pairs, _pattern(basis.tree, 1.5).pairs)
-    union = np.unique(np.concatenate([lo.pattern.pairs, hi.pattern.pairs]), axis=0)
-    np.testing.assert_array_equal(total.pattern.pairs, union)
-    assert np.array_equal(total.to_dense(), lo.to_dense() + hi.to_dense())
+    total = _checked_sum(monkeypatch, lo, hi)
+    assert total.layout.eta == 1.5
+    np.testing.assert_array_equal(total.layout.pairs, _pattern(basis.tree, 1.5))
+    union = np.unique(np.concatenate([lo.layout.pairs, hi.layout.pairs]), axis=0)
+    np.testing.assert_array_equal(total.layout.pairs, union)
     other_basis = build_basis(cloud, 1)
     c2 = compress_assemble(other_basis, spec, eta=1.25, interp_degree=3)
     with pytest.raises(ValueError, match="basis mismatch"):
         add_compressed(a, c2)
 
 
-def test_add_compressed_csr_and_mixed_forms(csr1024):
+def test_add_compressed_csr_and_mixed_forms(csr1024, monkeypatch):
     basis, spec = csr1024
     a = compress_assemble(basis, spec, eta=1.25, interp_degree=5)
     b = compress_assemble(basis, Matern(1.5, 0.2), eta=1.25, interp_degree=5)
-    both = add_compressed(a, b)
+    lo = compress_assemble(basis, Matern(1.5, 0.2), eta=1.0, interp_degree=5)
+    both = _checked_sum(monkeypatch, a, b)
     assert not (a.layout.dense or both.layout.dense)
-    assert np.array_equal(both.to_dense(), a.to_dense() + b.to_dense())
-    assert np.array_equal(add_compressed(a, a).to_dense(), 2 * a.to_dense())
+    assert np.array_equal(_checked_sum(monkeypatch, a, a).to_dense(), 2 * a.to_dense())
+    for x, y in ((a, lo), (lo, a)):  # both CSR, at different eta
+        _checked_sum(monkeypatch, x, y)
+    # the sum needs at most one row cluster's rows beyond its result
+    for x, y in ((a, b), (lo, a)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            total = add_compressed(x, y)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held - base >= total.data.nbytes
+        assert peak - held <= compression._BATCH_BYTES
+        del total
     # N=512, d=2, q=1: 41.5% of N x N at eta 1.0 (CSR), 53.7% at 1.5 (dense)
     mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
     lo = compress_assemble(mixed, spec, eta=1.0, interp_degree=5)
     hi = compress_assemble(mixed, Matern(1.5, 0.2), eta=1.5, interp_degree=5)
     assert (lo.layout.dense, hi.layout.dense) == (False, True)
-    for total in (add_compressed(lo, hi), add_compressed(hi, lo)):
-        assert total.layout.dense and total.pattern.eta == 1.5
-        np.testing.assert_array_equal(total.pattern.pairs, hi.pattern.pairs)
-        assert np.array_equal(total.to_dense(), lo.to_dense() + hi.to_dense())
+    for total in (_checked_sum(monkeypatch, lo, hi), _checked_sum(monkeypatch, hi, lo)):
+        assert total.layout.dense and total.layout.eta == 1.5
+        np.testing.assert_array_equal(total.layout.pairs, hi.layout.pairs)
 
 
 def test_csr_columns_match_the_layout(csr1024):
@@ -350,7 +387,7 @@ def test_storage_form_follows_stored_share(setup256, csr1024):
     mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
     clouds += [(mixed, 1.0, False), (mixed, 1.5, True)]  # 41.5%, 53.7%
     for basis, eta, dense in clouds:
-        layout = _Layout(basis, _pattern(basis.tree, eta))
+        layout = _Layout(basis, eta)
         stored = _pattern_nnz(basis, eta)
         assert layout.stored == stored
         assert layout.dense == (2 * stored >= basis.n**2) == dense
@@ -382,7 +419,7 @@ def _pattern_nnz(basis, eta):
     """Stored entries of the retained pattern: width(i) * width(j) summed
     over its cluster pairs, widths from the basis's slot ranges."""
     width = basis.slots[:, 1] - basis.slots[:, 0]
-    i, j = _pattern(basis.tree, eta).pairs.T
+    i, j = _pattern(basis.tree, eta).T
     return int((width[i] * width[j]).sum())
 
 
@@ -422,8 +459,8 @@ def test_serialization_round_trip(tmp_path, n, dim, q, seed):
     assert path.read_bytes() == b"SMPB" + head + b"".join(words)
     loaded = load_compressed(path, basis)
     assert loaded.n == comp.n
-    assert loaded.pattern.eta == comp.pattern.eta
-    np.testing.assert_array_equal(loaded.pattern.pairs, comp.pattern.pairs)
+    assert loaded.layout.eta == comp.layout.eta
+    np.testing.assert_array_equal(loaded.layout.pairs, comp.layout.pairs)
     assert set(loaded.blocks) == set(comp.blocks)
     for key in comp.blocks:
         np.testing.assert_array_equal(loaded.blocks[key], comp.blocks[key])
@@ -560,7 +597,7 @@ def _per_pair_assembly(basis, spec, eta, degree):
     mid = 0.5 * (tree.hi + tree.lo)
     axes = mid[:, :, None] + half[:, :, None] * cheb
     grid_size = (degree + 1) ** tree.cloud.dim
-    retained = set(map(tuple, _pattern(tree, eta).pairs.tolist()))
+    retained = set(map(tuple, _pattern(tree, eta).tolist()))
     entries = [0]
 
     def kernel(x, y):

@@ -349,6 +349,48 @@ def test_leaf_size_zero_exit_2(cloud_csv, tmp_path, capsys):
     assert "leaf_size=0" in err and "leaf_size must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["assemble", "--kernel", "gauss(l=0.3)", "--eta", "nan"], "eta must be positive"),
+        (["assemble", "--kernel", "matern(nu=1/2,l=nan)"], "lengthscale must be positive"),
+        (["pursue", "--kernel", "gauss(l=0.3)", "--weight", "nan"], "weight must be"),
+        (["pursue", "--kernel", "gauss(l=0.3)", "--tol", "nan"], "tol must be"),
+        (["compress", "--thresholds", "nan"], "thresholds must be nonnegative"),
+        (["interpolate", "--kernel", "gauss(l=0.3)", "--mu", "nan"], "ridge must be"),
+        (["interpolate", "--kernel", "gauss(l=0.3)", "--mu", "inf"], "ridge must be"),
+        (["interpolate", "--kernel", "gauss(l=0.3)", "--tol", "-1"], "tol must be"),
+        (["interpolate", "--kernel", "gauss(l=0.3)", "--max-iter", "-1"], "max_iter must be"),
+    ],
+    ids=["eta-nan", "lengthscale-nan", "weight-nan", "pursue-tol-nan", "thresholds-nan",
+         "mu-nan", "mu-inf", "tol-negative", "max-iter-negative"],
+)
+def test_nan_and_out_of_range_parameters_exit_2(cloud_csv, tmp_path, capsys, argv, message):
+    # refused before anything is written
+    path, _, _ = cloud_csv
+    before = set(tmp_path.iterdir())
+    assert main([argv[0], str(path), "-o", str(tmp_path / "out"), *argv[1:]]) == 2
+    assert message in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("key", ["moment_degree", "carry_degree", "leaf_size", "permutation"])
+def test_incomplete_sidecar_exit_2(cloud_csv, tmp_path, capsys, key):
+    path, _, _ = cloud_csv
+    coeffs = tmp_path / "c.csv"
+    assert main(["transform", str(path), "-o", str(coeffs)]) == 0
+    meta = json.loads(sidecar_path(coeffs).read_text())
+    del meta[key]
+    sidecar_path(coeffs).write_text(json.dumps(meta))
+    back = tmp_path / "back.csv"
+    assert main(["transform", str(path), "--inverse", "--coeffs", str(coeffs), "-o", str(back)]) == 2
+    assert not back.exists()
+    assert f"sidecar lacks '{key}'" in capsys.readouterr().err
+    sidecar_path(coeffs).write_text("[1, 2]")
+    with pytest.raises(InputError, match="not a JSON object"):
+        read_coefficients(coeffs)
+
+
 def test_sites_without_coordinates_exit_2(tmp_path, capsys):
     path = tmp_path / "values.csv"
     path.write_text("value\n1.0\n2.0\n")

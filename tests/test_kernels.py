@@ -80,6 +80,13 @@ def test_invalid_parameters_rejected():
         Matern(0.7, 1.0)
     with pytest.raises(ValueError):
         PeriodicGaussian(-1.0)
+    # NaN fails every test, and neither parameter may be infinite
+    for nu, l in ((0.5, np.nan), (0.5, np.inf), (np.inf, np.nan)):
+        with pytest.raises(ValueError, match="lengthscale must be positive and finite"):
+            Matern(nu, l)
+    for s, l in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            PeriodicGaussian(s, l)
 
 
 def test_dense_kernel_matrix_examples():
@@ -219,7 +226,7 @@ for name, kernel in (("dense", "gauss(l=0.3)"), ("csr", "matern(nu=1/2,l=0.1)"))
 def test_dense_guard():
     rng = np.random.default_rng(33)
     with pytest.raises(ValueError, match="guard"):
-        dense_kernel_matrix(Matern(0.5, 1.0), PointCloud(rng.random((20, 1))), guard=10)
+        dense_kernel_matrix(Matern(0.5, 1.0), PointCloud(rng.random((8193, 1))))
 
 
 def test_product_kernel_factorizes():

@@ -38,6 +38,8 @@ def test_hard_threshold_examples(basis3):
 def test_negative_threshold_rejected(basis3):
     with pytest.raises(ValueError):
         hard_threshold(_vec(basis3, [1.0, 0.0, 0.0]), -1.0)
+    with pytest.raises(ValueError, match="threshold must be nonnegative"):
+        hard_threshold(_vec(basis3, [1.0, 0.0, 0.0]), np.nan)
 
 
 def test_compression_report_identity_and_monotonicity():

@@ -43,6 +43,8 @@ def test_soft_shrink_examples():
     np.testing.assert_array_equal(soft_shrink([0.5, -0.7], [0.5, 0.8]), [0.0, 0.0])
     with pytest.raises(ValueError):
         soft_shrink([1.0], [-0.1])
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        soft_shrink([1.0], [np.nan])
 
 
 def test_interpolation_zero_rhs(dense64):
@@ -289,3 +291,20 @@ def test_pursuit_rejects_bad_arguments(dense64):
         solve_pursuit(PursuitProblem([], h))
     with pytest.raises(ValueError):
         solve_pursuit(PursuitProblem([K], h, weights=-1.0))
+    for weights in (np.nan, np.inf, [np.nan] + [0.0] * 63):
+        with pytest.raises(ValueError, match="weights must be nonnegative and finite"):
+            solve_pursuit(PursuitProblem([K], h, weights=weights))
+
+
+def test_pursuit_nan_tolerance_does_not_converge(dense64):
+    # no residual is <= NaN, so the run ends unconverged
+    _, _, K, h = dense64
+    with pytest.raises(SolverError):
+        solve_pursuit(PursuitProblem([K], h, weights=1e-3, tol=np.nan, max_iter=3))
+
+
+@pytest.mark.parametrize("ridge", [np.nan, np.inf])
+def test_interpolation_refuses_nan_and_infinite_ridge(dense64, ridge):
+    _, _, K, h = dense64
+    with pytest.raises(ValueError, match="ridge must be nonnegative and finite"):
+        solve_interpolation(InterpolationProblem(K, h, ridge=ridge))
