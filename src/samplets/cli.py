@@ -88,7 +88,8 @@ _PARAMS = {
 class _RunSpec:
     """Validated description of one CLI run: the command and one field per
     entry of `_PARAMS`.  A field left unset (None) takes the command's
-    default, as on the command line."""
+    default, as on the command line; `parsed_kernels` holds the `kernels`
+    specs parsed."""
 
     def __post_init__(self):
         command = COMMANDS.get(self.command)
@@ -122,6 +123,10 @@ class _RunSpec:
             raise InputError("tol must be positive and finite")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
+        try:  # before any work, so a bad kernel spec costs no basis
+            self.parsed_kernels = tuple(parse_kernel(k) for k in self.kernels or ())
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
 
     @classmethod
     def from_dict(cls, data):
@@ -247,9 +252,7 @@ def _run_subsample(spec: RunSpec):
 def _run_assemble(spec: RunSpec):
     cloud, offset, scale = _load_cloud(spec)
     basis = _build(spec, cloud)
-    matrix = compress_assemble(
-        basis, parse_kernel(spec.kernels[0]), spec.eta, spec.interp_degree
-    )
+    matrix = compress_assemble(basis, spec.parsed_kernels[0], spec.eta, spec.interp_degree)
     save_compressed(matrix, spec.output)
     print(
         f"# assembled: n={matrix.n} blocks={len(matrix.layout.keys)} "
@@ -262,7 +265,7 @@ def _run_assemble(spec: RunSpec):
 def _run_interpolate(spec: RunSpec):
     cloud, offset, scale = _load_cloud(spec, need_values=True)
     basis = _build(spec, cloud)
-    kernel = parse_kernel(spec.kernels[0])
+    kernel = spec.parsed_kernels[0]
     rhs = forward_transform(basis, cloud.values)
     if spec.dense:
         matrix = transform_matrix_congruence(basis, dense_kernel_matrix(kernel, cloud))
@@ -289,8 +292,8 @@ def _run_pursue(spec: RunSpec):
     cloud, offset, scale = _load_cloud(spec, need_values=True)
     basis = _build(spec, cloud)
     mats = [
-        compress_assemble(basis, parse_kernel(k), spec.eta, spec.interp_degree)
-        for k in spec.kernels
+        compress_assemble(basis, k, spec.eta, spec.interp_degree)
+        for k in spec.parsed_kernels
     ]
     rhs = forward_transform(basis, cloud.values)
     problem = PursuitProblem(
@@ -321,7 +324,7 @@ def _run_report(spec: RunSpec):
     basis = _build(spec, cloud)
     degrees = sorted({spec.moment_degree, *range(1, spec.moment_degree + 1)})
     rows = compression_error_report(
-        basis, parse_kernel(spec.kernels[0]), spec.eta, degrees, spec.interp_degree
+        basis, spec.parsed_kernels[0], spec.eta, degrees, spec.interp_degree
     )
     write_report_csv(
         spec.output,

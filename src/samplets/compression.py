@@ -246,15 +246,15 @@ class _Layout:
             header = np.concatenate([keys[k0:k1], width[keys[k0:k1]]], axis=1)
             yield int(start[p + 1] - start[p]), head[k0:k1], header, part
 
-    def place(self, data, i, j, blocks):
-        """Write a stack of stored blocks (i, j), arrays of pair ids, and
-        their mirrors (j, i) as exact transposes into the data."""
-        n = len(self.width)
-        at = self.at[np.searchsorted(self.code, [i * n + j, j * n + i])]
-        r, s = np.indices(blocks.shape[1:]).reshape(2, -1)
-        values = blocks.reshape(len(blocks), -1)
-        data[at[0, :, None] + self.stride[i, None] * r + s] = values
-        data[at[1, :, None] + self.stride[j, None] * s + r] = values
+    def place(self, data, at, i, j, blocks):
+        """Write a stack of stored blocks (i, j), arrays of pair ids, from
+        data positions at[0], and their mirrors (j, i) as exact transposes
+        from at[1], one block row at a time."""
+        _, rows, cols = blocks.shape
+        row = at[0, :, None] + self.stride[i, None] * np.arange(rows)  # each row's start
+        _blocks_at(data, 1, cols, 1)[row] = blocks[:, :, None]
+        row = at[1, :, None] + self.stride[j, None] * np.arange(cols)
+        _blocks_at(data, 1, rows, 1)[row] = blocks.transpose(0, 2, 1)[:, :, None]
 
 
 class CompressedKernelMatrix:
@@ -331,8 +331,11 @@ def compress_assemble(
     are the retained pairs there and the admissible fringe, evaluated once
     each: as W_a^T K(P_a, P_b) W_b from its clusters' point weights where
     that costs no more than on Chebyshev grids, by interpolation on the
-    grids otherwise.  Everything beyond the fringe is never materialized,
-    and stored entries go straight into the operator's data.
+    grids otherwise.  Everything beyond the fringe is never materialized.
+    A computed block hands its scaling rows and its transposed scaling
+    columns straight to the input of the pairs one level up that refine
+    into it, so blocks live only in their batch and two levels' inputs at a
+    time; its samplet part goes straight into the operator's data.
     """
     if not eta > 0:
         raise ValueError("eta must be positive")
@@ -362,10 +365,45 @@ def compress_assemble(
     exact = size[b] * (size[a] * (1 + na) + na * nb) <= G * (G * (1 + na) + na * nb)
     i, j = np.append(i, a), np.append(j, b)
     kind = np.append(kind, np.where(exact, _POINTS, _GRID))
-    total = level[i] + level[j]
+    # the data positions of the stored blocks and of their mirrors (clipped,
+    # so meaningless, for pairs that store nothing)
+    at = np.take(layout.at, np.searchsorted(layout.code, [i * n + j, j * n + i]), mode="clip")
+    # all pairs by total level, in batches of one block shape: one per kind,
+    # pair of level groups and, for the fringe from points, pair of sizes;
+    # level t's pairs are edge[t] : edge[t + 1]
+    sized = kind == _POINTS
+    batch = np.stack([level[i] + level[j], kind, gid[i], gid[j], size[i] * sized, size[j] * sized])
+    order = np.lexsort(batch[::-1])
+    i, j, kind, at, batch = i[order], j[order], kind[order], at[:, order], batch[:, order]
+    edge = np.searchsorted(batch[0], np.arange(2 * tree.depth + 2)).tolist()
+    first = np.diff(batch, prepend=-1).any(axis=0)  # a pair opens a batch
+    # a refined pair reads X = vstack(block(c, f)[:n_sc[c]] for the children
+    # c of r), r = i for _ROWS and j for _COLS, where block (c, f) with c > f
+    # is (f, c).T; level t's input, of inputs[t + 1] - inputs[t] doubles,
+    # holds its refined pairs' X one after the other, each from `start`
+    refine = (kind == _ROWS) | (kind == _COLS)
+    end = np.cumsum(np.where(refine, n_in[i] * n_in[j], 0))
+    inputs = np.append(0, end)[edge]
+    start = end - n_in[i] * n_in[j] - inputs[batch[0]]
+    r = np.where(kind == _ROWS, i, j)[refine]
+    c, f = children[r], ((i + j)[refine] - r)[:, None]
+    read = start[refine, None] + np.outer(n_sc[c[:, 0]] * n_in[f[:, 0]], [0, 1])
+    # each read keyed by the block (min, max) that holds it and by c being its
+    # row (0) or its column (1); no block is read twice from one side.  `to`:
+    # where a block's scaling rows X[:n_sc[a]] and transposed scaling columns
+    # X[:, :n_sc[b]].T go in the level above's input, -1 where none are read
+    key = ((np.minimum(c, f) * n + np.maximum(c, f)) * 2 + (c > f)).ravel()
+    by_key = np.argsort(key)
+    key = np.append(key[by_key], 2 * n * n)
+    read = np.append(read.ravel()[by_key], -1)
+    want = (i * n + j)[:, None] * 2 + [0, 1]
+    found = np.searchsorted(key, want)
+    to = np.where(key[found] == want, read[found], -1)
+    del batch, end, r, c, f, read, key, by_key, want, found  # before the loop allocates
+    points, dim = tree.points.reshape(-1), tree.cloud.dim
 
     def points_of(c, s):  # the points of a stack of clusters of s points each
-        return tree.points[tree.start[c, None] + np.arange(s)]
+        return _blocks_at(points, s, dim, dim)[dim * tree.start[c]]
 
     # point weights, one zero-padded stack per level group, and `wrow`, a
     # cluster's row in it: q for leaves, the weight sweep's for the interior
@@ -398,43 +436,22 @@ def compress_assemble(
                 ev = cheb.lagrange(c, points_of(c, s)).transpose(0, 2, 1)
                 factors[g][frow[c]] = np.matmul(ev, weights[g][wrow[c], :s])
 
-    def refined(r, f):
-        # X[k] = vstack(block(c, f[k])[:n_sc[c]] for the children c of r[k]),
-        # read from the level below, where block (c, f) with c > f is (f, c).T
-        code, off, flat = below
-        c, f = children[r], f[:, None]
-        at = off[np.searchsorted(code, np.minimum(c, f) * n + np.maximum(c, f))]
-        row = np.arange(n_in[r[0]])
-        second = (row >= n_sc[c[:, :1]]).astype(int)  # the child of each row
-        row = row - second * n_sc[c[:, :1]]
-        c, at = np.take_along_axis(c, second, 1), np.take_along_axis(at, second, 1)
-        direct = c <= f
-        base = at + np.where(direct, row * n_in[f], row)
-        step = np.where(direct, 1, n_in[c])
-        return flat[base[..., None] + step[..., None] * np.arange(n_in[f[0, 0]])]
-
     data = np.zeros(layout.size)
+    above = np.empty(0)
     for lev in range(2 * tree.depth, -1, -1):
-        now = total == lev
-        a, b, kinds = i[now], j[now], kind[now]
-        # one batch per kind, pair of level groups and, for the fringe from
-        # points, pair of sizes, so one block shape
-        sized = kinds == _POINTS
-        batch = np.stack([kinds, gid[a], gid[b], size[a] * sized, size[b] * sized])
-        order = np.lexsort(batch[::-1])
-        a, b, kinds, batch = a[order], b[order], kinds[order], batch[:, order]
-        block = n_in[a] * n_in[b]
-        off = np.cumsum(block) - block
-        flat = np.empty(block.sum())
-        starts = np.flatnonzero(np.diff(batch, prepend=-1).any(axis=0)).tolist()
-        for s, e in zip(starts, starts[1:] + [len(a)]):
-            k, ga, gb, na, nb = kinds[s], gid[a[s]], gid[b[s]], n_in[a[s]], n_in[b[s]]
-            sa, sb = size[a[s]], size[b[s]]
+        # this level's input, which the level below wrote (no view of the one
+        # before survives), and the next level's, which this one writes
+        x, X = above, None
+        above = np.empty(inputs[lev] - inputs[lev - 1] if lev else 0)
+        starts = (edge[lev] + np.flatnonzero(first[edge[lev] : edge[lev + 1]])).tolist()
+        for s, e in zip(starts, starts[1:] + [edge[lev + 1]]):
+            k, ga, gb, na, nb = kind[s], gid[i[s]], gid[j[s]], n_in[i[s]], n_in[j[s]]
+            sa, sb = size[i[s]], size[j[s]]
             wide = {_POINTS: max(sa * sb, sa * na, sb * nb), _GRID: G * G}
             for part in _batches(e - s, wide.get(k, na * nb)):
-                ai, bi = a[s:e][part], b[s:e][part]
-                out = flat[off[s + part.start] :][: len(ai) * na * nb]
-                out = out.reshape(-1, na, nb)
+                part = slice(s + part.start, s + part.stop)
+                ai, bi = i[part], j[part]
+                out = np.empty((len(ai), na, nb))
                 if k == _GRID:
                     fa, fb = factors[ga][frow[ai]], factors[gb][frow[bi]]
                     S = kernel_matrix(spec, cheb.grids(ai), cheb.grids(bi))
@@ -445,24 +462,32 @@ def compress_assemble(
                     np.matmul(np.matmul(wa.transpose(0, 2, 1), S), wb, out=out)
                 elif k == _ROWS:
                     qa = groups[ga].q[pos[ai]]
-                    np.matmul(qa.transpose(0, 2, 1), refined(ai, bi), out=out)
+                    X = x[start[part.start] :][: out.size].reshape(out.shape)
+                    np.matmul(qa.transpose(0, 2, 1), X, out=out)
                 else:
                     qb = groups[gb].q[pos[bi]]
-                    np.matmul(refined(bi, ai).transpose(0, 2, 1), qb, out=out)
-                if k >= _POINTS:
-                    continue  # fringe blocks are not stored
+                    X = x[start[part.start] :][: out.size].reshape(-1, nb, na)
+                    np.matmul(X.transpose(0, 2, 1), qb, out=out)
                 diag = ai == bi
                 if diag.any():
                     out[diag] = 0.5 * (out[diag] + out[diag].transpose(0, 2, 1))
-                stored = out[:, keep[ai[0]] :, keep[bi[0]] :].copy()
+                # the scaling rows, and the scaling columns transposed, go to
+                # the pairs of the level above that refine into these blocks
+                sent = out[:, : n_sc[ai[0]]], out[:, :, : n_sc[bi[0]]].transpose(0, 2, 1)
+                for dest, rows in zip(to[part].T, sent):
+                    has = dest >= 0
+                    if has.any():
+                        has = slice(None) if has.all() else has  # a view, no copy
+                        _, h, w = rows.shape
+                        _blocks_at(above, h, w, w)[dest[has]] = rows[has]
+                if k >= _POINTS:
+                    continue  # fringe blocks are not stored
+                # the samplet x samplet part, which no pair above reads
+                stored = out[:, keep[ai[0]] :, keep[bi[0]] :]
                 if stored.size:
-                    mag = np.abs(stored.reshape(len(ai), -1))
-                    small = mag < ENTRY_DROP * mag.max(axis=1, keepdims=True)
-                    stored.reshape(len(ai), -1)[small] = 0.0
-                    layout.place(data, ai, bi, stored)
-        code = a * n + b
-        by_code = np.argsort(code)
-        below = code[by_code], off[by_code], flat
+                    mag = np.abs(stored)
+                    stored[mag < ENTRY_DROP * mag.max(axis=(1, 2), keepdims=True)] = 0.0
+                    layout.place(data, at[:, part], ai, bi, stored)
     return CompressedKernelMatrix(basis, layout, data)
 
 

@@ -7,6 +7,7 @@ Formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -164,8 +165,18 @@ def write_coefficients(coeffs, path, extra=None):
         fh.write(json.dumps(meta))
 
 
+def _integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true reads as 1
+
+
+def _number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def read_coefficients(path):
-    """(raw slot array, sidecar dict); the caller rebuilds the basis."""
+    """(raw slot array, sidecar dict); the caller rebuilds the basis.  The
+    sidecar keys read back must be present and of their types, so that a
+    hand-edited sidecar is refused as an input error."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "coeff":
@@ -181,12 +192,30 @@ def read_coefficients(path):
         meta = json.load(fh)
     if not isinstance(meta, dict):
         raise InputError(f"{meta_file}: sidecar is not a JSON object")
-    for key in ("moment_degree", "carry_degree", "leaf_size", "permutation"):
+    for key in ("n", "moment_degree", "carry_degree", "leaf_size", "permutation"):
         if key not in meta:
             raise InputError(f"{meta_file}: sidecar lacks '{key}'")
-    if len(slots) != meta.get("n"):
+
+    def refuse(key, kind):
+        raise InputError(f"{meta_file}: sidecar '{key}' must be {kind}")
+
+    for key in ("n", "moment_degree", "carry_degree", "leaf_size"):
+        if not _integer(meta[key]):
+            refuse(key, "an integer")
+    if not (isinstance(meta["permutation"], list) and all(map(_integer, meta["permutation"]))):
+        refuse("permutation", "a list of integers")
+    if "rescale_offset" in meta:
+        offset = meta["rescale_offset"]
+        if not (isinstance(offset, list) and len(offset) == meta.get("dim")
+                and all(_number(x) and math.isfinite(x) for x in offset)):
+            refuse("rescale_offset", "a list of 'dim' finite numbers")
+    if "rescale_offset" in meta or "rescale_scale" in meta:
+        scale = meta.get("rescale_scale")
+        if not (_number(scale) and 0 < scale < math.inf):
+            refuse("rescale_scale", "a positive finite number")
+    if len(slots) != meta["n"]:
         raise InputError(
-            f"{path}: {len(slots)} coefficients but sidecar says n={meta.get('n')}"
+            f"{path}: {len(slots)} coefficients but sidecar says n={meta['n']}"
         )
     return slots, meta
 

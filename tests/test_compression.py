@@ -669,21 +669,27 @@ def _per_pair_assembly(basis, spec, eta, degree):
 
 
 @pytest.mark.parametrize(
-    "n, dim, q, degree, copies",
+    "n, dim, q, degree, copies, leaf_size",
     [
         # level 5 holds leaves of 20 sites and parents of leaves of 10 and 11
-        pytest.param(656, 2, 3, 6, 1, id="uniform2d"),
-        pytest.param(200, 2, 2, 5, 3, id="tripled"),
-        pytest.param(300, 1, 3, 6, 1, id="d1q3"),
-        pytest.param(400, 3, 1, 3, 1, id="d3q1"),
+        pytest.param(656, 2, 3, 6, 1, None, id="uniform2d"),
+        pytest.param(200, 2, 2, 5, 3, None, id="tripled"),
+        pytest.param(300, 1, 3, 6, 1, None, id="d1q3"),
+        pytest.param(400, 3, 1, 3, 1, None, id="d3q1"),
+        # leaves of 4 and 5 sites, fewer than q=2's six moments: 20 sibling
+        # pairs carry unequal scaling counts, so refinements stack children's
+        # scaling rows of two heights
+        pytest.param(300, 2, 2, 5, 1, 5, id="leaf5"),
     ],
 )
-def test_batched_assembly_matches_per_pair(monkeypatch, n, dim, q, degree, copies):
+def test_batched_assembly_matches_per_pair(monkeypatch, n, dim, q, degree, copies, leaf_size):
     pts = np.repeat(np.random.default_rng(47).random((n, dim)), copies, axis=0)
-    basis = build_basis(pts, q)
+    basis = build_basis(pts, q, leaf_size)
     spec = Matern(0.5, 0.1)
     levels = [g.level for g in basis.groups]
     assert len(levels) > len(set(levels))  # several level groups on a level
+    first, second = basis.n_sc[basis.tree.children[basis.tree.children[:, 0] >= 0]].T
+    assert (first != second).any() == (leaf_size is not None)
     dense, entries = _per_pair_assembly(basis, spec, 1.25, degree)
     counted = []
 
@@ -697,6 +703,25 @@ def test_batched_assembly_matches_per_pair(monkeypatch, n, dim, q, degree, copie
     assert np.abs(A - dense).max() <= 1e-13 * np.abs(dense).max()
     assert np.array_equal(A, A.T)
     assert sum(counted) == entries  # every fringe pair evaluated once
+
+
+def test_assembly_peak_under_twice_the_stored_operator():
+    # each level's input holds only the scaling rows that its refined pairs
+    # read, and only two inputs are alive at a time; with full-block level
+    # stores this cloud peaked at 2.08x its stored arrays
+    basis = build_basis(np.random.default_rng(0).random((4096, 2)), 3)
+    spec = Matern(0.5, 0.1)
+    compress_assemble(basis, spec, 1.25, 6)  # warm-up: no first-use import is traced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        comp = compress_assemble(basis, spec, 1.25, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layout = comp.layout
+    assert not layout.dense
+    assert peak <= 1.9 * (comp.data.nbytes + layout.indices.nbytes + layout.indptr.nbytes)
 
 
 def test_high_dimensional_fringe_from_points(monkeypatch):

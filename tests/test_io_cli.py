@@ -391,6 +391,51 @@ def test_incomplete_sidecar_exit_2(cloud_csv, tmp_path, capsys, key):
         read_coefficients(coeffs)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("leaf_size", "x"),
+        ("moment_degree", 2.5),
+        ("carry_degree", True),  # JSON true reads as an int
+        ("n", "200"),
+        ("permutation", "0,1,2"),
+        ("permutation", [0.5] * 200),
+        ("rescale_offset", ["a", 0]),
+        ("rescale_offset", [0.0]),
+        ("rescale_scale", 0),
+        ("rescale_scale", "1"),
+    ],
+    ids=["leaf-size-str", "degree-float", "carry-bool", "n-str", "perm-str",
+         "perm-floats", "offset-str", "offset-short", "scale-zero", "scale-str"],
+)
+def test_sidecar_value_types_exit_2(cloud_csv, tmp_path, capsys, key, value):
+    path, _, _ = cloud_csv
+    coeffs = tmp_path / "c.csv"
+    assert main(["transform", str(path), "-o", str(coeffs), "--rescale-unit-box"]) == 0
+    meta = json.loads(sidecar_path(coeffs).read_text())
+    meta[key] = value
+    sidecar_path(coeffs).write_text(json.dumps(meta))
+    back = tmp_path / "back.csv"
+    assert main(["transform", str(path), "--inverse", "--coeffs", str(coeffs), "-o", str(back)]) == 2
+    assert not back.exists()
+    assert f"sidecar '{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel", ["matern(nu=1/2,l=nan)", "matern(nu=1/2", "gauss(l=x)"])
+@pytest.mark.parametrize("command", [c for c, v in samplets.cli.COMMANDS.items() if "kernels" in v.takes])
+def test_bad_kernel_refused_before_points_are_read(cloud_csv, tmp_path, monkeypatch, command, kernel):
+    path, _, _ = cloud_csv
+    reads = []
+
+    def recording(path):
+        reads.append(path)
+        return read_points(path)
+
+    monkeypatch.setattr(samplets.cli, "read_points", recording)
+    assert main([command, str(path), "-o", str(tmp_path / "out"), "--kernel", kernel]) == 2
+    assert reads == []
+
+
 def test_sites_without_coordinates_exit_2(tmp_path, capsys):
     path = tmp_path / "values.csv"
     path.write_text("value\n1.0\n2.0\n")
