@@ -256,7 +256,7 @@ def _run_assemble(spec: RunSpec):
     save_compressed(matrix, spec.output)
     print(
         f"# assembled: n={matrix.n} blocks={len(matrix.layout.keys)} "
-        f"nnz={matrix.nnz} storage={'dense' if matrix.layout.dense else 'csr'}",
+        f"nnz={matrix.nnz} storage={'dense' if matrix.layout.dense else 'panels'}",
         file=sys.stderr,
     )
     return 0

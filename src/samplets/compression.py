@@ -9,9 +9,9 @@ costs loglinear work.  Assembly
 runs one total level at a time, in stacked batches of blocks of one shape
 (one kind of block and one pair of level groups each), and writes the
 stored entries straight into the operator's data: one N x N array where
-they fill at least half of it, CSR otherwise.  Only pairs i <= j are
-computed; each mirror block is stored as the exact transpose, so the
-assembled operator is exactly symmetric.
+they fill at least half of it, one panel per row cluster otherwise.  Only
+pairs i <= j are computed; each mirror block is stored as the exact
+transpose, so the assembled operator is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -134,12 +134,13 @@ def _pattern(tree, eta):
         # negation of is_admissible(a, b, eta) and dist > 0
         front = front[(dist < eta * np.maximum(diam[i], diam[j])) | (dist == 0.0)]
         kept.append(front)
-        steps = []
-        for k in (0, 1):
-            steps.append(np.column_stack([children[front[:, 0], k], front[:, 1]]))
-            steps.append(np.column_stack([front[:, 0], children[front[:, 1], k]]))
-        cand = np.sort(np.concatenate(steps), axis=1)
-        cand = _unique(cand[cand[:, 0] >= 0] @ [n, 1])  # row-major keys
+        # the one-sided child steps (c, j) and (i, c), leaves' -1 dropped
+        i, j = front.T
+        a = np.append(children[i].T, [i, i])
+        b = np.append([j, j], children[j].T)
+        has = (a >= 0) & (b >= 0)
+        a, b = a[has], b[has]
+        cand = _unique(np.minimum(a, b) * n + np.maximum(a, b))  # row-major keys
         front = np.stack(np.divmod(cand, n), axis=1)
     upper = np.concatenate(kept)
     keys = _unique(np.concatenate([upper @ [n, 1], upper @ [1, n]]))
@@ -162,15 +163,15 @@ class _Layout:
     ascending (row, col) order; `code` holds them as i * clusters + j, and
     `stored` counts their entries.  Where those fill at least half of N x N
     (`dense`), the data is one row-major N x N array, zero off the pattern;
-    otherwise it is the data of a CSR matrix with `indices` and `indptr`.
+    otherwise it holds the stored entries alone.
 
     The rows of row cluster i form one row-major (width[i], stride[i])
     array from `base[i]` on.  In the dense form that is all N columns, and
-    block (i, j) starts at column slots[j, 0].  In the CSR form it is the
-    ascending slot ranges of i's blocks, one column pattern that all its
-    rows share, and each block starts where the one before it ends.  Entry
-    (r, s) of the k-th stored block (i, j) lies at `at[k] + r * stride[i] +
-    s`.
+    block (i, j) starts at column slots[j, 0].  Otherwise its columns are
+    `cols[ptr[i] : ptr[i + 1]]`, the ascending slot ranges of i's blocks,
+    one column pattern that all its rows share, and each block starts where
+    the one before it ends.  Entry (r, s) of the k-th stored block (i, j)
+    lies at `at[k] + r * stride[i] + s`.
     """
 
     def __init__(self, basis, eta):
@@ -188,29 +189,33 @@ class _Layout:
         self.stored = int(width @ row_len)
         self.dense = 2 * self.stored >= n * n
         self.width = width.tolist()
+        self.slots = slots
         if self.dense:
             base = np.append(slots[:, 0], n) * n  # the slot ranges tile 0..N
             self.stride = np.full(len(slots), n)
             offset = slots[col, 0]
-            self.size = n * n
         else:
             base = np.append(0, np.cumsum(width * row_len))
-            index = np.int32 if base[-1] < 2**31 else np.int64
             self.stride = row_len
             offset = ends[:-1] - ends[first[row]]
-            self.size = self.stored
-            self.indptr = np.append(0, np.cumsum(np.repeat(row_len, width))).astype(index)
-            self.indices = np.empty(self.stored, dtype=index)
-            # row cluster i's column pattern is the slot ranges of its blocks,
-            # one for all its rows
-            shift = slots[col, 0] - ends[:-1]
-            for i in np.flatnonzero(width).tolist():
-                k0, k1 = first[i], first[i + 1]
-                pattern = np.arange(ends[k0], ends[k1])
-                pattern += np.repeat(shift[k0:k1], width[col[k0:k1]])
-                self.indices[base[i] : base[i + 1]].reshape(width[i], -1)[:] = pattern
-        self.base = base
+            self.ptr = ends[first]
+            self.cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
+        self.base, self.size = base, int(base[-1])
         self.at = base[row] + offset
+
+    def panels(self, data):
+        """The data as (rows, panel, columns) triples, so that the product
+        with x is panel @ x[columns] in its rows: one row-major view of a row
+        cluster's rows and its column pattern per row cluster that owns
+        slots, or one of all rows and all columns in the dense form."""
+        if self.dense:
+            return [(slice(None), data.reshape(-1, self.stride[0]), slice(None))]
+        slots, base, ptr = self.slots.tolist(), self.base.tolist(), self.ptr.tolist()
+        return [
+            (slice(*slots[i]), data[base[i] : base[i + 1]].reshape(self.width[i], -1),
+             self.cols[ptr[i] : ptr[i + 1]])
+            for i in np.flatnonzero(self.width).tolist()
+        ]
 
     def pieces(self):
         """The stored blocks in key order, in pieces of at most _BATCH_BYTES
@@ -263,9 +268,9 @@ class CompressedKernelMatrix:
     `data` holds every stored entry, explicit zeros included, where `layout`
     places it: block (i, j) covers the stored slots of cluster pairs (i, j)
     (the root block also covers the coarse scaling slots), and `blocks`
-    views it per pair.  `op` is the operator over `data`, an N x N array
-    or a CSR matrix as the layout's form is dense or not.  Symmetric kernels
-    give a symmetric pattern with transposed mirror blocks.
+    views it per pair, `panels` per row cluster (or as one N x N array in
+    the dense form).  Symmetric kernels give a symmetric pattern with
+    transposed mirror blocks.
     """
 
     def __init__(self, basis, layout, data):
@@ -273,14 +278,7 @@ class CompressedKernelMatrix:
         self.layout = layout
         self.n = basis.n
         self.data = data
-        if layout.dense:
-            self.op = data.reshape(self.n, self.n)
-        else:
-            import scipy.sparse  # loaded only where a matrix is stored as CSR
-
-            self.op = scipy.sparse.csr_array(
-                (data, layout.indices, layout.indptr), shape=(self.n, self.n)
-            )
+        self.panels = layout.panels(data)
 
     @cached_property
     def blocks(self):
@@ -305,7 +303,9 @@ class CompressedKernelMatrix:
         arr = v.slots if wrap else np.asarray(v, dtype=float)
         if arr.shape != (self.n,):
             raise ValueError(f"dim mismatch: expected ({self.n},), got {arr.shape}")
-        out = self.op @ arr
+        out = np.empty(self.n)
+        for rows, panel, cols in self.panels:
+            np.matmul(panel, arr[cols], out=out[rows])
         return CoefficientVector(out, self.basis) if wrap else out
 
     def __matmul__(self, v):
@@ -314,7 +314,10 @@ class CompressedKernelMatrix:
     def to_dense(self) -> np.ndarray:
         if self.n > DENSE_GUARD:
             raise ValueError(f"dense guard exceeded: {self.n} > {DENSE_GUARD}")
-        return self.op.copy() if self.layout.dense else self.op.toarray()
+        out = np.zeros((self.n, self.n))
+        for rows, panel, cols in self.panels:
+            out[rows, cols] = panel
+        return out
 
 
 def compress_assemble(
@@ -496,25 +499,22 @@ def add_compressed(
 ) -> CompressedKernelMatrix:
     """Blockwise sum; both operands must share a basis.  The pattern of the
     larger eta holds both operands' patterns, so it is their union: the sum
-    takes that operand's layout and adds the other one's rows to a copy of
-    its data, one row cluster at a time."""
+    takes that operand's layout and adds the other one's panels to a copy
+    of its data."""
     if a.basis is not b.basis:
         raise ValueError("basis mismatch: operands built over different bases")
     if a.layout.eta < b.layout.eta:
         a, b = b, a
-    layout, other = a.layout, b.layout
-    data = a.data.copy()
-    for i in np.flatnonzero(layout.width).tolist():
-        rows = data[layout.base[i] : layout.base[i + 1]].reshape(layout.width[i], -1)
-        add = b.data[other.base[i] : other.base[i + 1]].reshape(len(rows), -1)
-        if rows.shape == add.shape:
-            rows += add
-        else:  # the other operand is CSR; its rows share their first row's columns
-            cols = other.indices[other.base[i] :][: add.shape[1]]
-            if not layout.dense:
-                cols = np.searchsorted(layout.indices[layout.base[i] :][: rows.shape[1]], cols)
-            rows[:, cols] += add
-    return CompressedKernelMatrix(a.basis, layout, data)
+    total = CompressedKernelMatrix(a.basis, a.layout, a.data.copy())
+    if b.data.size == a.data.size:  # both dense, or both of one pattern
+        total.data += b.data
+    elif a.layout.dense:  # b's panels add at their own rows and columns
+        for rows, add, cols in b.panels:
+            total.data.reshape(a.n, a.n)[rows, cols] += add
+    else:  # panels of the same row clusters, whose columns hold b's
+        for (_, panel, own), (_, add, cols) in zip(total.panels, b.panels):
+            panel[:, np.searchsorted(own, cols)] += add
+    return total
 
 
 @dataclass

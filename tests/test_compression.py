@@ -47,17 +47,25 @@ def setup256():
 
 
 @pytest.fixture(scope="module")
-def csr1024():
-    # d=1, q=3: the stored blocks fill 15% of N x N, so the form is CSR
+def panels1024():
+    # d=1, q=3: the stored blocks fill 15% of N x N, so the form is panels
     basis = build_basis(np.random.default_rng(47).random((1024, 1)), 3)
     return basis, Matern(0.5, 0.1)
 
 
 @pytest.fixture(scope="module")
-def both_forms(setup256, csr1024):
+def thin_wy():
+    # q=1, leaf size 32: 36% of N x N (panels), and row clusters of 3, 6, 28
+    # and 29 stored rows
+    basis = build_basis(np.random.default_rng(2).random((2000, 2)), 1, leaf_size=32)
+    return basis, Matern(2.5, 0.2)
+
+
+@pytest.fixture(scope="module")
+def both_forms(setup256, panels1024, thin_wy):
     """(basis, spec) on either side of the storage rule: setup256 stores
-    96% of N x N (dense), csr1024 15% (CSR)."""
-    return [(setup256[2], setup256[1]), csr1024]
+    96% of N x N (dense), panels1024 15% and thin_wy 36% (panels)."""
+    return [(setup256[2], setup256[1]), panels1024, thin_wy]
 
 
 def _box(lo, hi):
@@ -120,12 +128,12 @@ def test_block_symmetry(both_forms):
             np.testing.assert_allclose(block, mirror.T, atol=1e-12)
 
 
-def test_operator_exactly_symmetric(setup256, csr1024):
+def test_operator_exactly_symmetric(setup256, panels1024):
     cloud, spec, basis, dense = setup256
     rng = np.random.default_rng(45)
     basis3 = build_basis(rng.random((400, 3)), 2)
     forms = []
-    for b in (basis, basis3, csr1024[0]):
+    for b in (basis, basis3, panels1024[0]):
         comp = compress_assemble(b, spec, eta=1.25, interp_degree=4)
         A = comp.to_dense()
         assert np.array_equal(A, A.T)
@@ -156,10 +164,10 @@ def test_assembly_memory_released_on_return(both_forms):
         finally:
             tracemalloc.stop()
             gc.enable()
-        # the storage arrays: the data, and the CSR index arrays if any
+        # the storage arrays: the data, and the panels' column index if any
         stored = [comp.data]
         if not comp.layout.dense:
-            stored += [comp.op.indices, comp.op.indptr]
+            stored.append(comp.layout.cols)
         assert held <= 2 * sum(a.nbytes for a in stored)
 
 
@@ -323,15 +331,15 @@ def test_add_compressed(setup256, monkeypatch):
         add_compressed(a, c2)
 
 
-def test_add_compressed_csr_and_mixed_forms(csr1024, monkeypatch):
-    basis, spec = csr1024
+def test_add_compressed_csr_and_mixed_forms(panels1024, monkeypatch):
+    basis, spec = panels1024
     a = compress_assemble(basis, spec, eta=1.25, interp_degree=5)
     b = compress_assemble(basis, Matern(1.5, 0.2), eta=1.25, interp_degree=5)
     lo = compress_assemble(basis, Matern(1.5, 0.2), eta=1.0, interp_degree=5)
     both = _checked_sum(monkeypatch, a, b)
     assert not (a.layout.dense or both.layout.dense)
     assert np.array_equal(_checked_sum(monkeypatch, a, a).to_dense(), 2 * a.to_dense())
-    for x, y in ((a, lo), (lo, a)):  # both CSR, at different eta
+    for x, y in ((a, lo), (lo, a)):  # both panels, at different eta
         _checked_sum(monkeypatch, x, y)
     # the sum needs at most one row cluster's rows beyond its result
     for x, y in ((a, b), (lo, a)):
@@ -346,7 +354,7 @@ def test_add_compressed_csr_and_mixed_forms(csr1024, monkeypatch):
         assert held - base >= total.data.nbytes
         assert peak - held <= compression._BATCH_BYTES
         del total
-    # N=512, d=2, q=1: 41.5% of N x N at eta 1.0 (CSR), 53.7% at 1.5 (dense)
+    # N=512, d=2, q=1: 41.5% of N x N at eta 1.0 (panels), 53.7% at 1.5 (dense)
     mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
     lo = compress_assemble(mixed, spec, eta=1.0, interp_degree=5)
     hi = compress_assemble(mixed, Matern(1.5, 0.2), eta=1.5, interp_degree=5)
@@ -356,22 +364,33 @@ def test_add_compressed_csr_and_mixed_forms(csr1024, monkeypatch):
         np.testing.assert_array_equal(total.layout.pairs, hi.layout.pairs)
 
 
-def test_csr_columns_match_the_layout(csr1024):
-    # to_dense reads the CSR's indices and indptr, `blocks` the layout's at
-    # and stride: both must put every block at its pair's slot ranges; the
-    # clouds of test_add_compressed_csr_and_mixed_forms
+def test_panel_columns_match_the_layout(panels1024, thin_wy):
+    # matvec and to_dense read the panels, `blocks` the layout's at and
+    # stride: both must put every block at its pair's slot ranges, and a
+    # row cluster's panel holds its rows at the ascending slot ranges of its
+    # blocks; the clouds of test_add_compressed_csr_and_mixed_forms and one
+    # of uneven row-cluster widths
     mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
-    for basis, eta in ((csr1024[0], 1.25), (mixed, 1.0)):
-        comp = compress_assemble(basis, csr1024[1], eta=eta, interp_degree=5)
+    clouds = [(*panels1024, 1.25), (mixed, panels1024[1], 1.0), (*thin_wy, 1.25)]
+    for basis, spec, eta in clouds:
+        comp = compress_assemble(basis, spec, eta=eta, interp_degree=5)
         assert not comp.layout.dense
         placed = np.zeros((basis.n, basis.n))
         slots = basis.slots.tolist()
         for (i, j), block in comp.blocks.items():
             placed[slots[i][0] : slots[i][1], slots[j][0] : slots[j][1]] = block
         assert np.array_equal(comp.to_dense(), placed)
+        keys = comp.layout.keys
+        owners = np.flatnonzero(np.diff(basis.slots, axis=1)[:, 0])
+        assert len(comp.panels) == len(owners)
+        for i, (rows, panel, cols) in zip(owners.tolist(), comp.panels):
+            assert rows == slice(*slots[i])
+            want = np.concatenate([np.arange(*slots[j]) for j in keys[keys[:, 0] == i, 1]])
+            assert np.array_equal(cols, want) and (np.diff(want) > 0).all()
+            assert np.array_equal(panel, placed[rows][:, cols])
 
 
-def test_storage_form_follows_stored_share(setup256, csr1024):
+def test_storage_form_follows_stored_share(setup256, panels1024):
     # dense exactly where the stored entries S fill half of N x N: 2 S >= N^2
     def grid_cloud(m):  # one site per cell of an m x m grid, like the workloads
         rng = np.random.default_rng(17)
@@ -380,7 +399,7 @@ def test_storage_form_follows_stored_share(setup256, csr1024):
 
     clouds = [
         (setup256[2], 1.25, True),  # 96%
-        (csr1024[0], 1.25, False),  # 15%
+        (panels1024[0], 1.25, False),  # 15%
         (build_basis(grid_cloud(32), 3), 1.25, True),  # N=1024 grid, 67%
         (build_basis(np.random.default_rng(47).random((1024, 2)), 1), 1.25, False),
     ]
@@ -441,7 +460,7 @@ def test_nnz_doubling_ratio_loglinear():
         # 20 clusters own no slots, so the pattern holds pairs that store
         # no block
         pytest.param(300, 3, 1, 300, id="empty-slots"),
-        # 15% of N x N: the CSR form
+        # 15% of N x N: the panel form
         pytest.param(1024, 1, 3, 47, id="csr-side"),
     ],
 )
@@ -540,12 +559,12 @@ def test_pieces_of_any_size_move_the_same_bytes(tmp_path, monkeypatch, n, dim, q
         assert reads == [4, 32]  # the magic and the header: no values
 
 
-def test_load_memory_bounded_by_pieces(tmp_path, csr1024):
-    # a dense-side (N=1024, d=2) and a CSR-side cloud; the file is read in
+def test_load_memory_bounded_by_pieces(tmp_path, panels1024):
+    # a dense-side (N=1024, d=2) and a panel-side cloud; the file is read in
     # pieces, so beyond what the loaded matrix holds, loading needs a few
     # pieces and a few words per block, never the whole file
     dense = build_basis(np.random.default_rng(48).random((1024, 2)), 3)
-    for basis in (dense, csr1024[0]):
+    for basis in (dense, panels1024[0]):
         comp = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=4)
         save_compressed(comp, tmp_path / "matrix.smpb")
         gc.collect()
@@ -705,10 +724,12 @@ def test_batched_assembly_matches_per_pair(monkeypatch, n, dim, q, degree, copie
     assert sum(counted) == entries  # every fringe pair evaluated once
 
 
-def test_assembly_peak_under_twice_the_stored_operator():
+def test_assembly_peak_bounded_by_the_stored_operator():
     # each level's input holds only the scaling rows that its refined pairs
     # read, and only two inputs are alive at a time; with full-block level
-    # stores this cloud peaked at 2.08x its stored arrays
+    # stores this cloud peaked at 2.08x the data and a CSR index of 64.8 MB,
+    # 135 MB.  The operator is stored as its data and the panels' column
+    # index, 48.2 MB, and the peak is 97.4 MB
     basis = build_basis(np.random.default_rng(0).random((4096, 2)), 3)
     spec = Matern(0.5, 0.1)
     compress_assemble(basis, spec, 1.25, 6)  # warm-up: no first-use import is traced
@@ -721,7 +742,7 @@ def test_assembly_peak_under_twice_the_stored_operator():
         tracemalloc.stop()
     layout = comp.layout
     assert not layout.dense
-    assert peak <= 1.9 * (comp.data.nbytes + layout.indices.nbytes + layout.indptr.nbytes)
+    assert peak <= 2.1 * (comp.data.nbytes + layout.cols.nbytes)
 
 
 def test_high_dimensional_fringe_from_points(monkeypatch):

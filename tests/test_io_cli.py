@@ -326,7 +326,7 @@ def test_assemble_reports_stored_block_count(cloud_csv, tmp_path, monkeypatch, c
     line = capsys.readouterr().err
     found = re.search(r"# assembled: n=200 blocks=(\d+) nnz=\d+ storage=(\w+)", line)
     assert int(found.group(1)) == len(matrix.blocks) > 0
-    assert found.group(2) == ("dense" if matrix.layout.dense else "csr") == "dense"
+    assert found.group(2) == ("dense" if matrix.layout.dense else "panels") == "dense"
 
 
 def test_negative_interpolation_degree_exit_2(cloud_csv, tmp_path, capsys):

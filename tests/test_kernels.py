@@ -196,31 +196,26 @@ def test_distances_bit_identical_to_cdist(stacks, chunk):
 
 
 def test_cli_loads_no_unused_scipy_subpackage(tmp_path):
-    # samplets needs scipy.sparse only, and only for a CSR operator: a
-    # dense-side run loads no scipy subpackage, a run on the csr1024 cloud of
-    # test_compression (N=1024, d=1, q=3) loads scipy.sparse but not
-    # scipy.spatial, which pulls in scipy.linalg and scipy.special
+    # samplets needs no scipy module: neither a dense-side run nor a run on
+    # the panels1024 cloud of test_compression (N=1024, d=1, q=3) loads one
     rng = np.random.default_rng(36)
     write_points(PointCloud(rng.random((60, 2))), tmp_path / "dense.csv")
-    write_points(PointCloud(np.random.default_rng(47).random((1024, 1))), tmp_path / "csr.csv")
+    write_points(PointCloud(np.random.default_rng(47).random((1024, 1))), tmp_path / "panels.csv")
     script = f"""
 import sys
 import samplets, samplets.cli
-for name, kernel in (("dense", "gauss(l=0.3)"), ("csr", "matern(nu=1/2,l=0.1)")):
+for name, kernel in (("dense", "gauss(l=0.3)"), ("panels", "matern(nu=1/2,l=0.1)")):
     code = samplets.cli.main(["assemble", f"{tmp_path}/{{name}}.csv", "-o",
                               f"{tmp_path}/{{name}}.smpb", "--kernel", kernel])
-    print(code, *sorted({{m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}}))
+    print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     src = str(Path(samplets.__file__).resolve().parent.parent)
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, check=True,
     )
-    dense, csr = (line.split() for line in proc.stdout.splitlines())
-    assert dense == ["0"]
-    assert csr[0] == "0" and "sparse" in csr
-    assert not {"spatial", "linalg", "special"} & set(csr)
-    assert "storage=dense" in proc.stderr and "storage=csr" in proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [["0"], ["0"]]
+    assert "storage=dense" in proc.stderr and "storage=panels" in proc.stderr
 
 
 def test_dense_guard():
