@@ -177,10 +177,9 @@ def _run_transform(spec: RunSpec):
         if not spec.coeffs:
             raise InputError("inverse transform needs --coeffs")
         slots, meta = read_coefficients(spec.coeffs)
-        raw = read_points(spec.points) if spec.points else None
-        if raw is None:
+        if not spec.points:
             raise InputError("no points file given")
-        cloud = raw
+        cloud = raw = read_points(spec.points)
         if "rescale_offset" in meta:  # forward ran with --rescale-unit-box
             cloud = PointCloud(
                 (raw.points - np.asarray(meta["rescale_offset"]))
@@ -395,7 +394,7 @@ def main(argv=None) -> int:
     args = vars(_parser().parse_args(argv))
     try:
         return run(RunSpec.from_dict(args))
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -9,9 +9,9 @@ costs loglinear work.  Assembly
 runs one total level at a time, in stacked batches of blocks of one shape
 (one kind of block and one pair of level groups each), and writes the
 stored entries straight into the operator's data: one N x N array where
-they fill at least half of it, one panel per row cluster otherwise.  Only
-pairs i <= j are computed; each mirror block is stored as the exact
-transpose, so the assembled operator is exactly symmetric.
+they fill at least half of it, one panel per row cluster otherwise.  One
+block of each pair and its mirror is computed, and the other is stored as
+its exact transpose, so the assembled operator is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .tree import box_dist, cluster_diam, cluster_dist
 ENTRY_DROP = 1e-14  # relative magnitude below which stored entries are zeroed
 _BATCH_BYTES = 1 << 18  # bound on one stacked temporary of the assembly
 # a block in assembly: retained and exact (leaf pairs) or refined over the
-# children of its row or its column cluster; or of the admissible fringe,
-# exact from point weights or interpolated on grids
-_EXACT, _ROWS, _COLS, _POINTS, _GRID = range(5)
+# children of its row cluster; or of the admissible fringe, exact from point
+# weights or interpolated on grids
+_EXACT, _ROWS, _POINTS, _GRID = range(4)
 
 
 def is_admissible(a, b, eta: float) -> bool:
@@ -327,17 +327,19 @@ def compress_assemble(
 
     Retained pairs are all cluster pairs failing the separation test; they
     are enumerated level by level from (root, root) by single-sided descents,
-    which covers pairs of clusters on different levels.  Blocks of pairs
-    i <= j are computed deepest total level first, in stacked batches of one
-    block shape: non-admissible leaf-leaf pairs exactly from the points, the
-    others by a one-sided refinement of the blocks one level deeper.  Those
-    are the retained pairs there and the admissible fringe, evaluated once
-    each: as W_a^T K(P_a, P_b) W_b from its clusters' point weights where
-    that costs no more than on Chebyshev grids, by interpolation on the
-    grids otherwise.  Everything beyond the fringe is never materialized.
-    A computed block hands its scaling rows and its transposed scaling
-    columns straight to the input of the pairs one level up that refine
-    into it, so blocks live only in their batch and two levels' inputs at a
+    which covers pairs of clusters on different levels.  One block of each
+    pair and its mirror is computed, deepest total level first, in stacked
+    batches of one block shape: non-admissible leaf-leaf pairs exactly from
+    the points, the others by refining their row cluster over the blocks
+    one level deeper (a pair whose column cluster is the one to refine is
+    computed as its mirror).  Those are the retained pairs there and the
+    admissible fringe, evaluated once each: as W_a^T K(P_a, P_b) W_b from
+    its clusters' point weights where that costs no more than on Chebyshev
+    grids, by interpolation on the grids otherwise.  Everything beyond the
+    fringe is never materialized.  A computed block hands its scaling rows
+    straight to the input of the pairs one level up that refine into it,
+    and its transposed scaling columns to those that refine into its
+    mirror, so blocks live only in their batch and two levels' inputs at a
     time; its samplet part goes straight into the operator's data.
     """
     if not eta > 0:
@@ -353,15 +355,17 @@ def compress_assemble(
     children, level, size = tree.children, tree.level, tree.size
     leaf = children[:, 0] < 0
     i, j = layout.pairs[layout.pairs[:, 0] <= layout.pairs[:, 1]].T
-    kind = np.where(leaf[i] & leaf[j], _EXACT, _COLS)
-    kind[~leaf[i] & ((level[i] <= level[j]) | leaf[j])] = _ROWS
+    # a pair refines the coarser of its clusters that are not leaves, i on a
+    # tie; it is turned so that this is its row cluster
+    turn = ~leaf[j] & (leaf[i] | (level[i] > level[j]))
+    i, j = np.where(turn, j, i), np.where(turn, i, j)
+    kind = np.where(leaf[i] & leaf[j], _EXACT, _ROWS)
     # the fringe: child pairs that retained pairs refine into and that are
     # not retained themselves
-    up = kind != _EXACT
-    r = np.where(kind[up] == _ROWS, i[up], j[up])
-    c, f = children[r].ravel(), np.repeat(i[up] + j[up] - r, 2)
+    up = kind == _ROWS
+    c, f = children[i[up]].ravel(), np.repeat(j[up], 2)
     fringe = _unique(np.minimum(c, f) * n + np.maximum(c, f))
-    a, b = np.divmod(fringe[~np.isin(fringe, i * n + j)], n)
+    a, b = np.divmod(fringe[~np.isin(fringe, np.minimum(i, j) * n + np.maximum(i, j))], n)
     # exact from points where the kernel entries and the products W_a^T S W_b
     # cost no more than on the two grids
     na, nb, G = n_in[a], n_in[b], cheb.size
@@ -380,29 +384,28 @@ def compress_assemble(
     i, j, kind, at, batch = i[order], j[order], kind[order], at[:, order], batch[:, order]
     edge = np.searchsorted(batch[0], np.arange(2 * tree.depth + 2)).tolist()
     first = np.diff(batch, prepend=-1).any(axis=0)  # a pair opens a batch
-    # a refined pair reads X = vstack(block(c, f)[:n_sc[c]] for the children
-    # c of r), r = i for _ROWS and j for _COLS, where block (c, f) with c > f
-    # is (f, c).T; level t's input, of inputs[t + 1] - inputs[t] doubles,
+    # a refined pair (i, j) reads X = vstack(block(c, j)[:n_sc[c]] for the
+    # children c of i); level t's input, of inputs[t + 1] - inputs[t] doubles,
     # holds its refined pairs' X one after the other, each from `start`
-    refine = (kind == _ROWS) | (kind == _COLS)
+    refine = kind == _ROWS
     end = np.cumsum(np.where(refine, n_in[i] * n_in[j], 0))
     inputs = np.append(0, end)[edge]
     start = end - n_in[i] * n_in[j] - inputs[batch[0]]
-    r = np.where(kind == _ROWS, i, j)[refine]
-    c, f = children[r], ((i + j)[refine] - r)[:, None]
-    read = start[refine, None] + np.outer(n_sc[c[:, 0]] * n_in[f[:, 0]], [0, 1])
-    # each read keyed by the block (min, max) that holds it and by c being its
-    # row (0) or its column (1); no block is read twice from one side.  `to`:
-    # where a block's scaling rows X[:n_sc[a]] and transposed scaling columns
-    # X[:, :n_sc[b]].T go in the level above's input, -1 where none are read
-    key = ((np.minimum(c, f) * n + np.maximum(c, f)) * 2 + (c > f)).ravel()
+    c, f = children[i[refine]], j[refine]
+    read = start[refine, None] + np.outer(n_sc[c[:, 0]] * n_in[f], [0, 1])
+    # each read keyed by the block (c, f) whose scaling rows it takes; no such
+    # block is read twice.  `to`: where a computed block (a, b) sends its
+    # scaling rows X[:n_sc[a]] (key (a, b)) and its transposed scaling columns
+    # X[:, :n_sc[b]].T (key (b, a), none for a diagonal block) in the level
+    # above's input, -1 where none are read
+    key = (c * n + f[:, None]).ravel()
     by_key = np.argsort(key)
-    key = np.append(key[by_key], 2 * n * n)
+    key = np.append(key[by_key], n * n)
     read = np.append(read.ravel()[by_key], -1)
-    want = (i * n + j)[:, None] * 2 + [0, 1]
+    want = np.stack([i * n + j, np.where(i == j, -1, j * n + i)])
     found = np.searchsorted(key, want)
     to = np.where(key[found] == want, read[found], -1)
-    del batch, end, r, c, f, read, key, by_key, want, found  # before the loop allocates
+    del batch, end, c, f, read, key, by_key, want, found  # before the loop allocates
     points, dim = tree.points.reshape(-1), tree.cloud.dim
 
     def points_of(c, s):  # the points of a stack of clusters of s points each
@@ -463,21 +466,18 @@ def compress_assemble(
                     wa, wb = weights[ga][wrow[ai], :sa], weights[gb][wrow[bi], :sb]
                     S = kernel_matrix(spec, points_of(ai, sa), points_of(bi, sb))
                     np.matmul(np.matmul(wa.transpose(0, 2, 1), S), wb, out=out)
-                elif k == _ROWS:
+                else:
                     qa = groups[ga].q[pos[ai]]
                     X = x[start[part.start] :][: out.size].reshape(out.shape)
                     np.matmul(qa.transpose(0, 2, 1), X, out=out)
-                else:
-                    qb = groups[gb].q[pos[bi]]
-                    X = x[start[part.start] :][: out.size].reshape(-1, nb, na)
-                    np.matmul(X.transpose(0, 2, 1), qb, out=out)
                 diag = ai == bi
                 if diag.any():
                     out[diag] = 0.5 * (out[diag] + out[diag].transpose(0, 2, 1))
-                # the scaling rows, and the scaling columns transposed, go to
-                # the pairs of the level above that refine into these blocks
+                # the scaling rows go to the pairs of the level above that
+                # refine into these blocks, the scaling columns transposed to
+                # those that refine into their mirrors
                 sent = out[:, : n_sc[ai[0]]], out[:, :, : n_sc[bi[0]]].transpose(0, 2, 1)
-                for dest, rows in zip(to[part].T, sent):
+                for dest, rows in zip(to[:, part], sent):
                     has = dest >= 0
                     if has.any():
                         has = slice(None) if has.all() else has  # a view, no copy

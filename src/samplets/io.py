@@ -107,6 +107,8 @@ def _read_points_binary(path) -> PointCloud:
         data = fh.read()
     if data[:4] != POINTS_MAGIC:
         raise InputError(f"{path}: bad magic, not a binary points file")
+    if len(data) < 20:
+        raise InputError(f"{path}: truncated header: {len(data)} of 20 bytes")
     version, dim = struct.unpack("<II", data[4:12])
     if version != 1:
         raise InputError(f"{path}: unsupported version {version}")

@@ -331,7 +331,7 @@ def test_add_compressed(setup256, monkeypatch):
         add_compressed(a, c2)
 
 
-def test_add_compressed_csr_and_mixed_forms(panels1024, monkeypatch):
+def test_add_compressed_panels_and_mixed_forms(panels1024, monkeypatch):
     basis, spec = panels1024
     a = compress_assemble(basis, spec, eta=1.25, interp_degree=5)
     b = compress_assemble(basis, Matern(1.5, 0.2), eta=1.25, interp_degree=5)
@@ -368,8 +368,8 @@ def test_panel_columns_match_the_layout(panels1024, thin_wy):
     # matvec and to_dense read the panels, `blocks` the layout's at and
     # stride: both must put every block at its pair's slot ranges, and a
     # row cluster's panel holds its rows at the ascending slot ranges of its
-    # blocks; the clouds of test_add_compressed_csr_and_mixed_forms and one
-    # of uneven row-cluster widths
+    # blocks; the clouds of test_add_compressed_panels_and_mixed_forms and
+    # one of uneven row-cluster widths
     mixed = build_basis(np.random.default_rng(40).random((512, 2)), 1)
     clouds = [(*panels1024, 1.25), (mixed, panels1024[1], 1.0), (*thin_wy, 1.25)]
     for basis, spec, eta in clouds:
@@ -461,7 +461,7 @@ def test_nnz_doubling_ratio_loglinear():
         # no block
         pytest.param(300, 3, 1, 300, id="empty-slots"),
         # 15% of N x N: the panel form
-        pytest.param(1024, 1, 3, 47, id="csr-side"),
+        pytest.param(1024, 1, 3, 47, id="panels-side"),
     ],
 )
 def test_serialization_round_trip(tmp_path, n, dim, q, seed):
@@ -512,7 +512,7 @@ def test_serialization_round_trip(tmp_path, n, dim, q, seed):
     "n, dim, q, seed",
     [
         pytest.param(256, 2, 3, 40, id="dense-side"),
-        pytest.param(1024, 1, 3, 47, id="csr-side"),
+        pytest.param(1024, 1, 3, 47, id="panels-side"),
     ],
 )
 def test_pieces_of_any_size_move_the_same_bytes(tmp_path, monkeypatch, n, dim, q, seed):

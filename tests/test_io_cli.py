@@ -462,8 +462,14 @@ def test_write_coefficients_matches_per_line_writer(tmp_path):
     assert sidecar_path(path).read_bytes() == json.dumps(meta).encode()
 
 
-def test_missing_file_is_input_error(tmp_path):
-    assert main(["transform", str(tmp_path / "none.csv")]) == 2
+def test_missing_file_is_input_error(tmp_path, capsys):
+    # a missing file, a binary header cut short and a directory: each is
+    # reported on stderr with exit 2, not as a traceback
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"SMPL\x01\x00")
+    for path in (tmp_path / "none.csv", short, tmp_path):
+        assert main(["transform", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
 
 
 def test_run_uses_runspec():
