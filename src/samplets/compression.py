@@ -165,13 +165,13 @@ class _Layout:
     (`dense`), the data is one row-major N x N array, zero off the pattern;
     otherwise it holds the stored entries alone.
 
-    The rows of row cluster i form one row-major (width[i], stride[i])
-    array from `base[i]` on.  In the dense form that is all N columns, and
-    block (i, j) starts at column slots[j, 0].  Otherwise its columns are
-    `cols[ptr[i] : ptr[i + 1]]`, the ascending slot ranges of i's blocks,
-    one column pattern that all its rows share, and each block starts where
-    the one before it ends.  Entry (r, s) of the k-th stored block (i, j)
-    lies at `at[k] + r * stride[i] + s`.
+    The rows of row cluster i share one column pattern, `cols[ptr[i] :
+    ptr[i + 1]]`, the ascending slot ranges of i's blocks, and form one
+    row-major (width[i], stride[i]) array from `base[i]` on.  In the dense
+    form that is all N columns, and block (i, j) starts at column
+    slots[j, 0].  Otherwise its columns are the column pattern, and each
+    block starts where the one before it ends.  Entry (r, s) of the k-th
+    stored block (i, j) lies at `at[k] + r * stride[i] + s`.
     """
 
     def __init__(self, basis, eta):
@@ -190,6 +190,8 @@ class _Layout:
         self.dense = 2 * self.stored >= n * n
         self.width = width.tolist()
         self.slots = slots
+        self.ptr = ends[first]
+        self.cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
         if self.dense:
             base = np.append(slots[:, 0], n) * n  # the slot ranges tile 0..N
             self.stride = np.full(len(slots), n)
@@ -198,10 +200,16 @@ class _Layout:
             base = np.append(0, np.cumsum(width * row_len))
             self.stride = row_len
             offset = ends[:-1] - ends[first[row]]
-            self.ptr = ends[first]
-            self.cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
         self.base, self.size = base, int(base[-1])
         self.at = base[row] + offset
+
+    def patterns(self):
+        """(slot range, column pattern) of each row cluster that owns slots:
+        the panel form's order of the stored entries, which the file keeps
+        in either form."""
+        slots, ptr = self.slots.tolist(), self.ptr.tolist()
+        return [(slice(*slots[i]), self.cols[ptr[i] : ptr[i + 1]])
+                for i in np.flatnonzero(self.width).tolist()]
 
     def panels(self, data):
         """The data as (rows, panel, columns) triples, so that the product
@@ -210,46 +218,9 @@ class _Layout:
         slots, or one of all rows and all columns in the dense form."""
         if self.dense:
             return [(slice(None), data.reshape(-1, self.stride[0]), slice(None))]
-        slots, base, ptr = self.slots.tolist(), self.base.tolist(), self.ptr.tolist()
-        return [
-            (slice(*slots[i]), data[base[i] : base[i + 1]].reshape(self.width[i], -1),
-             self.cols[ptr[i] : ptr[i + 1]])
-            for i in np.flatnonzero(self.width).tolist()
-        ]
-
-    def pieces(self):
-        """The stored blocks in key order, in pieces of at most _BATCH_BYTES
-        of SMPB words that split no block: per piece its word count, its
-        blocks' header words and headers (row, col, rows, cols), and its runs
-        of one shape, (rows, cols, data row stride, `at`, value words)."""
-        width, keys = np.array(self.width), self.keys
-        size = width[keys[:, 0]] * width[keys[:, 1]]
-        end = np.cumsum(size + 4)  # past each block's words
-        cuts = [0]
-        while cuts[-1] < len(end):
-            cap = end[cuts[-1]] - size[cuts[-1]] - 4 + _BATCH_BYTES // 8
-            cuts.append(max(cuts[-1] + 1, int(np.searchsorted(end, cap, "right"))))
-        start = np.append(0, end[np.array(cuts[1:]) - 1])  # each piece's first word
-        head = end - size - 4 - np.repeat(start[:-1], np.diff(cuts))  # in the piece
-        del size, end
-        # one key per block: its piece, its row cluster's (rows, stride) and
-        # its column count; sorted, each piece's runs follow each other
-        radix = int(max(width.max(), self.stride.max())) + 1
-        shapes, kind = np.unique(width * radix + self.stride, return_inverse=True)
-        key = np.repeat(np.arange(len(cuts) - 1) * len(shapes), np.diff(cuts))
-        key = (key + kind[keys[:, 0]]) * radix + width[keys[:, 1]]
-        order = np.argsort(key, kind="stable")
-        bounds = np.flatnonzero(np.diff(key[order], prepend=-1))  # each run's start
-        key = key[order[bounds]]
-        edge = np.searchsorted(key // (len(shapes) * radix), np.arange(len(cuts))).tolist()
-        r, s = np.divmod(shapes[key // radix % len(shapes)], radix)
-        runs = np.stack([r, key % radix, s, bounds, np.append(bounds[1:], len(order))], 1).tolist()
-        at, words = self.at[order], head[order] + 4
-        for p, (k0, k1) in enumerate(zip(cuts, cuts[1:])):
-            part = [(r, c, s, at[a:b], words[a:b])
-                    for r, c, s, a, b in runs[edge[p] : edge[p + 1]]]
-            header = np.concatenate([keys[k0:k1], width[keys[k0:k1]]], axis=1)
-            yield int(start[p + 1] - start[p]), head[k0:k1], header, part
+        owned, base = np.flatnonzero(self.width).tolist(), self.base.tolist()
+        return [(rows, data[base[i] : base[i + 1]].reshape(self.width[i], -1), cols)
+                for i, (rows, cols) in zip(owned, self.patterns())]
 
     def place(self, data, at, i, j, blocks):
         """Write a stack of stored blocks (i, j), arrays of pair ids, from
@@ -544,38 +515,35 @@ def compression_error_report(basis, spec, eta, moment_degrees, interp_degree=6):
 
 
 _MAGIC = b"SMPB"
+_VERSION = 2
 _PREAMBLE = 36  # magic plus the "<IQIdQ" header
-_BLOCK_HEADER = 32
 
 
 def save_compressed(m: CompressedKernelMatrix, path):
-    """Write the documented binary container (little-endian, 8-byte floats)
-    in bounded pieces, with one gather and one scatter per run of one shape."""
+    """Write the documented binary container (little-endian): the header,
+    the stored blocks' (row, col) cluster pairs, then the stored entries in
+    the panel form's order, gathered one row cluster at a time from the
+    N x N array in the dense form."""
     layout = m.layout
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(
-            struct.pack(
-                "<IQIdQ",
-                1,
-                m.n,
-                m.basis.moment_degree,
-                layout.eta,
-                len(layout.keys),
-            )
-        )
-        for count, heads, headers, runs in layout.pieces():
-            values = np.empty(count, "<f8")
-            _blocks_at(values.view("<u8"), 1, 4, 4)[heads, 0] = headers
-            for r, c, s, at, word in runs:
-                _blocks_at(values, r, c, c)[word] = _blocks_at(m.data, r, c, s)[at]
-            fh.write(values)
+        fh.write(_MAGIC + struct.pack("<IQIdQ", _VERSION, m.n, m.basis.moment_degree,
+                                      layout.eta, len(layout.keys)))
+        fh.write(layout.keys.astype("<u8"))
+        if layout.dense:
+            square = m.data.reshape(m.n, m.n)
+            for rows, cols in layout.patterns():
+                fh.write(np.take(square[rows], cols, axis=1).astype("<f8", copy=False))
+        else:
+            fh.write(m.data.astype("<f8", copy=False))
 
 
 def load_compressed(path, basis) -> CompressedKernelMatrix:
     """Read a matrix container.  The basis must match the stored N and
-    degree, and the blocks must be exactly the stored pairs of the pattern
-    that the stored eta gives on the basis's tree."""
+    degree, the file's size the layout that the stored eta gives on the
+    basis's tree, checked before any value is read, and the stored pairs
+    exactly that layout's stored blocks.  The entries are read straight into
+    the panel form's data, or one row cluster at a time into the N x N
+    array."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -584,33 +552,38 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
         if len(head) != _PREAMBLE - 4:
             raise ValueError(f"truncated header: {4 + len(head)} of {_PREAMBLE} bytes")
         version, n, degree, eta, n_blocks = struct.unpack("<IQIdQ", head)
-        if version != 1:
+        if version != _VERSION:
             raise ValueError(f"unsupported container version {version}")
         if n != basis.n or degree != basis.moment_degree:
             raise ValueError(
                 f"container (N={n}, degree={degree}) does not match basis "
                 f"(N={basis.n}, degree={basis.moment_degree})"
             )
+        if not eta > 0:
+            raise ValueError("eta must be positive")
         layout = _Layout(basis, eta)
-        stored = len(layout.keys)
+        keys = layout.keys
         size = os.fstat(fh.fileno()).st_size
-        expected = _PREAMBLE + _BLOCK_HEADER * stored + 8 * layout.stored
-        if (n_blocks, size) != (stored, expected):
+        expected = _PREAMBLE + 16 * len(keys) + 8 * layout.stored
+        if (n_blocks, size) != (len(keys), expected):
             raise ValueError(
                 f"{n_blocks} blocks in {size} bytes: the file is truncated or does "
-                f"not match the {stored} blocks in {expected} bytes of eta={eta} "
+                f"not match the {len(keys)} blocks in {expected} bytes of eta={eta} "
                 "on this basis"
             )
-        data = np.zeros(layout.size)
-        for count, heads, want, runs in layout.pieces():
-            values = np.frombuffer(fh.read(8 * count), "<f8")
-            got = _blocks_at(values.view("<u8"), 1, 4, 4)[heads, 0]
-            if (got != want).any():
-                k = np.flatnonzero((got != want).any(axis=1))[0]
-                raise ValueError(
-                    f"block (row, col, rows, cols) = {tuple(got[k].tolist())} does "
-                    f"not match the basis, which gives {tuple(want[k].tolist())}"
-                )
-            for r, c, s, at, word in runs:
-                _blocks_at(data, r, c, s)[at] = _blocks_at(values, r, c, c)[word]
+        got = np.frombuffer(fh.read(keys.size * 8), "<u8").reshape(keys.shape)
+        bad = np.flatnonzero((got != keys).any(axis=1))
+        if len(bad):
+            raise ValueError(
+                f"block (row, col) = {tuple(got[bad[0]].tolist())} does not match "
+                f"the basis, which gives {tuple(keys[bad[0]].tolist())}"
+            )
+        data = np.zeros(layout.size, "<f8")
+        if layout.dense:
+            for rows, cols in layout.patterns():
+                shape = (rows.stop - rows.start, len(cols))
+                values = np.frombuffer(fh.read(8 * shape[0] * shape[1]), "<f8")
+                data.reshape(n, n)[rows, cols] = values.reshape(shape)
+        elif fh.readinto(data) != data.nbytes:
+            raise ValueError(f"truncated data: {path} changed while it was read")
     return CompressedKernelMatrix(basis, layout, data)

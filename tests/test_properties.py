@@ -9,6 +9,7 @@ at the median of its longest axis.  The runs are derandomized, so a failure
 reproduces.
 """
 
+import itertools
 import struct
 
 import numpy as np
@@ -167,12 +168,14 @@ def test_smpb_round_trip(tmp_path_factory, cloud):
     A = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=2)
     path = tmp_path_factory.mktemp("smpb") / "matrix.smpb"
     save_compressed(A, path)
-    # the documented layout, written from the blocks
-    head = struct.pack("<IQIdQ", 1, len(pts), degree, 1.25, len(A.blocks))
-    words = [np.array([i, j, *b.shape], "<u8").tobytes() + b.astype("<f8").tobytes()
-             for (i, j), b in A.blocks.items()]
+    # the documented layout: the stored pairs, then per row cluster its
+    # blocks side by side, row-major
+    head = struct.pack("<IQIdQ", 2, len(pts), degree, 1.25, len(A.blocks))
+    keys = np.array(list(A.blocks), "<u8").tobytes()
+    rows = itertools.groupby(A.blocks.items(), key=lambda item: item[0][0])
+    body = b"".join(np.hstack([b for _, b in row]).astype("<f8").tobytes() for _, row in rows)
     raw = path.read_bytes()
-    assert raw == b"SMPB" + head + b"".join(words)
+    assert raw == b"SMPB" + head + keys + body
     B = load_compressed(path, basis)
     assert np.array_equal(B.data.view(np.uint64), A.data.view(np.uint64))
     save_compressed(B, path)
