@@ -253,8 +253,10 @@ def _run_assemble(spec: RunSpec):
     basis = _build(spec, cloud)
     matrix = compress_assemble(basis, spec.parsed_kernels[0], spec.eta, spec.interp_degree)
     save_compressed(matrix, spec.output)
+    keys = matrix.layout.keys  # the upper blocks, counted with their mirrors
+    blocks = 2 * len(keys) - np.count_nonzero(keys[:, 0] == keys[:, 1])
     print(
-        f"# assembled: n={matrix.n} blocks={len(matrix.layout.keys)} "
+        f"# assembled: n={matrix.n} blocks={blocks} "
         f"nnz={matrix.nnz} storage={'dense' if matrix.layout.dense else 'panels'}",
         file=sys.stderr,
     )

@@ -10,8 +10,9 @@ runs one total level at a time, in stacked batches of blocks of one shape
 (one kind of block and one pair of level groups each), and writes the
 stored entries straight into the operator's data: one N x N array where
 they fill at least half of it, one panel per row cluster otherwise.  One
-block of each pair and its mirror is computed, and the other is stored as
-its exact transpose, so the assembled operator is exactly symmetric.
+block of each pair and its mirror is computed and stored as the upper one;
+the dense form copies its lower triangle from its upper one and the panel
+form stores none, so the assembled operator is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .tree import box_dist, cluster_diam, cluster_dist
 
 ENTRY_DROP = 1e-14  # relative magnitude below which stored entries are zeroed
 _BATCH_BYTES = 1 << 18  # bound on one stacked temporary of the assembly
+_DENSE_SHARE = 0.5  # share of N x N from which the stored entries are held as one array
 # a block in assembly: retained and exact (leaf pairs) or refined over the
 # children of its row cluster; or of the admissible fringe, exact from point
 # weights or interpolated on grids
@@ -155,30 +157,46 @@ def _blocks_at(buf, rows, cols, stride):
     return np.ndarray((starts, rows, cols), buf.dtype, buf, 0, (step, step * stride, step))
 
 
+def _mirror(square, tile=64):
+    """Fill the strict lower triangle of a square array with copies of its
+    upper one, a column strip at a time, with no temporary beyond a tile."""
+    n = len(square)
+    for s in range(0, n, tile):
+        e = min(s + tile, n)
+        square[e:, s:e] = square[s:e, e:].T  # disjoint memory: copied in place
+        corner = square[s:e, s:e]
+        np.copyto(corner, corner.T, where=np.tri(e - s, k=-1, dtype=bool))
+
+
 class _Layout:
     """The retained pattern `pairs` of a basis and `eta`, and where each of
     its stored blocks lives in the operator's data.
 
-    The stored blocks `keys` are the pairs whose clusters both own slots, in
-    ascending (row, col) order; `code` holds them as i * clusters + j, and
-    `stored` counts their entries.  Where those fill at least half of N x N
-    (`dense`), the data is one row-major N x N array, zero off the pattern;
-    otherwise it holds the stored entries alone.
+    The pattern is symmetric and the operator too, so only its upper blocks
+    are stored: `keys` are the pairs i <= j whose clusters both own slots, in
+    ascending (row, col) order; `code` holds them as i * clusters + j.
+    `stored` counts the entries of the blocks of both triangles, `upper`
+    those of the keys.  Where the former fill at least half of N x N
+    (`_DENSE_SHARE`; `dense`), the data is one row-major N x N array, zero
+    off the pattern, whose lower triangle is a copy of its upper one;
+    otherwise it holds the keys' entries alone.
 
-    The rows of row cluster i share one column pattern, `cols[ptr[i] :
-    ptr[i + 1]]`, the ascending slot ranges of i's blocks, and form one
-    row-major (width[i], stride[i]) array from `base[i]` on.  In the dense
-    form that is all N columns, and block (i, j) starts at column
-    slots[j, 0].  Otherwise its columns are the column pattern, and each
-    block starts where the one before it ends.  Entry (r, s) of the k-th
-    stored block (i, j) lies at `at[k] + r * stride[i] + s`.
+    The upper rows of row cluster i span one column pattern, the ascending
+    slot ranges of its keys (its diagonal block first), which `patterns`
+    lists; `ptr[i]` is where it starts among all row clusters' patterns.
+    The rows form one row-major (width[i], stride[i]) array from `base[i]`
+    on.  In the dense form that is all N columns, and block (i, j) starts at
+    column slots[j, 0].  Otherwise its columns are the column pattern, held
+    in `cols`, and each block starts where the one before it ends.  Entry
+    (r, s) of the k-th key (i, j) lies at `at[k] + r * stride[i] + s`.
     """
 
     def __init__(self, basis, eta):
         slots, n = basis.slots, basis.n
         width = slots[:, 1] - slots[:, 0]
         pairs = self.pairs = _pattern(basis.tree, eta)
-        keys = pairs[(width[pairs[:, 0]] > 0) & (width[pairs[:, 1]] > 0)]
+        i, j = pairs.T
+        keys = pairs[(i <= j) & (width[i] > 0) & (width[j] > 0)]
         row, col = keys.T
         first = np.searchsorted(row, np.arange(len(slots) + 1))  # row i's keys
         ends = np.append(0, np.cumsum(width[col]))
@@ -186,12 +204,12 @@ class _Layout:
         self.eta = eta
         self.keys = keys
         self.code = keys @ [len(slots), 1]
-        self.stored = int(width @ row_len)
-        self.dense = 2 * self.stored >= n * n
-        self.width = width.tolist()
+        self.upper = int(width @ row_len)
+        self.stored = 2 * self.upper - int(width @ width)  # each owner's diagonal once
+        self.dense = self.stored >= _DENSE_SHARE * n * n
+        self.width = width
         self.slots = slots
         self.ptr = ends[first]
-        self.cols = np.arange(ends[-1]) + np.repeat(slots[col, 0] - ends[:-1], width[col])
         if self.dense:
             base = np.append(slots[:, 0], n) * n  # the slot ranges tile 0..N
             self.stride = np.full(len(slots), n)
@@ -199,38 +217,55 @@ class _Layout:
         else:
             base = np.append(0, np.cumsum(width * row_len))
             self.stride = row_len
-            offset = ends[:-1] - ends[first[row]]
+            offset = ends[:-1] - self.ptr[row]
+            self.cols = self.columns()
         self.base, self.size = base, int(base[-1])
         self.at = base[row] + offset
+
+    def columns(self):
+        """Every row cluster's column pattern, one after the other: the
+        running sum of steps of 1 within a block and of the jump to the next
+        block's first slot at its start, summed in place."""
+        first, last = self.slots[self.keys[:, 1]].T
+        cols = np.ones(self.ptr[-1], dtype=int)
+        cols[0] = first[0]
+        cols[np.cumsum(last - first)[:-1]] = first[1:] - last[:-1] + 1
+        return np.cumsum(cols, out=cols)
 
     def patterns(self):
         """(slot range, column pattern) of each row cluster that owns slots:
         the panel form's order of the stored entries, which the file keeps
-        in either form."""
+        in either form.  The dense form builds the patterns for each call."""
+        cols = self.columns() if self.dense else self.cols
         slots, ptr = self.slots.tolist(), self.ptr.tolist()
-        return [(slice(*slots[i]), self.cols[ptr[i] : ptr[i + 1]])
+        return [(slice(*slots[i]), cols[ptr[i] : ptr[i + 1]])
                 for i in np.flatnonzero(self.width).tolist()]
 
     def panels(self, data):
-        """The data as (rows, panel, columns) triples, so that the product
-        with x is panel @ x[columns] in its rows: one row-major view of a row
-        cluster's rows and its column pattern per row cluster that owns
-        slots, or one of all rows and all columns in the dense form."""
+        """The panel form's data as (rows, panel, columns, strict), one per
+        row cluster that owns slots, so that the product of its upper blocks
+        with x is panel @ x[columns] in its rows.  The diagonal block is the
+        panel's first len(panel) columns; the rest is the strict-upper part,
+        whose columns are cols[strict].  None in the dense form."""
         if self.dense:
-            return [(slice(None), data.reshape(-1, self.stride[0]), slice(None))]
-        owned, base = np.flatnonzero(self.width).tolist(), self.base.tolist()
-        return [(rows, data[base[i] : base[i + 1]].reshape(self.width[i], -1), cols)
+            return None
+        owned, width = np.flatnonzero(self.width).tolist(), self.width.tolist()
+        base, ptr = self.base.tolist(), self.ptr.tolist()
+        return [(rows, data[base[i] : base[i + 1]].reshape(width[i], -1), cols,
+                 slice(ptr[i] + width[i], ptr[i + 1]))
                 for i, (rows, cols) in zip(owned, self.patterns())]
 
     def place(self, data, at, i, j, blocks):
-        """Write a stack of stored blocks (i, j), arrays of pair ids, from
-        data positions at[0], and their mirrors (j, i) as exact transposes
-        from at[1], one block row at a time."""
-        _, rows, cols = blocks.shape
-        row = at[0, :, None] + self.stride[i, None] * np.arange(rows)  # each row's start
-        _blocks_at(data, 1, cols, 1)[row] = blocks[:, :, None]
-        row = at[1, :, None] + self.stride[j, None] * np.arange(cols)
-        _blocks_at(data, 1, rows, 1)[row] = blocks.transpose(0, 2, 1)[:, :, None]
+        """Write a stack of computed blocks (i, j), arrays of pair ids, into
+        their upper blocks from data positions `at`, one data row at a time:
+        as they are where i <= j, transposed where the pair was turned."""
+        turned = i > j
+        for sel, r, stack in ((~turned, i, blocks), (turned, j, blocks.transpose(0, 2, 1))):
+            if sel.any():
+                sel = slice(None) if sel.all() else sel
+                _, h, w = stack.shape
+                row = at[sel, None] + self.stride[r[sel], None] * np.arange(h)  # each row's start
+                _blocks_at(data, 1, w, 1)[row] = stack[sel][:, :, None]
 
 
 class CompressedKernelMatrix:
@@ -238,10 +273,11 @@ class CompressedKernelMatrix:
 
     `data` holds every stored entry, explicit zeros included, where `layout`
     places it: block (i, j) covers the stored slots of cluster pairs (i, j)
-    (the root block also covers the coarse scaling slots), and `blocks`
-    views it per pair, `panels` per row cluster (or as one N x N array in
-    the dense form).  Symmetric kernels give a symmetric pattern with
-    transposed mirror blocks.
+    (the root block also covers the coarse scaling slots).  Symmetric
+    kernels give a symmetric pattern with transposed mirror blocks, so the
+    panel form stores the upper blocks alone, per row cluster in `panels`,
+    and the dense form one N x N array of both triangles.  `blocks` views
+    every block of both triangles.
     """
 
     def __init__(self, basis, layout, data):
@@ -255,17 +291,32 @@ class CompressedKernelMatrix:
     def blocks(self):
         """Read-only (i, j) -> block mapping in ascending key order.  Each
         block is a view into the data, so writing to it changes the
-        operator."""
-        layout, width, stride = self.layout, self.layout.width, self.layout.stride.tolist()
-        data, step = self.data, self.data.itemsize
-        return MappingProxyType({
-            (i, j): np.ndarray((width[i], width[j]), data.dtype, data, step * at, (step * stride[i], step))
-            for (i, j), at in zip(layout.keys.tolist(), layout.at.tolist())
-        })
+        operator: in the panel form a mirror block is the transpose of its
+        upper block, in the dense form its own region of the N x N array."""
+        layout, data, step = self.layout, self.data, self.data.itemsize
+        width, stride = layout.width.tolist(), layout.stride.tolist()
+        first = layout.slots[:, 0].tolist()
+
+        def view(at, i, j):
+            shape, strides = (width[i], width[j]), (step * stride[i], step)
+            return np.ndarray(shape, data.dtype, data, step * at, strides)
+
+        blocks = {}
+        for (i, j), at in zip(layout.keys.tolist(), layout.at.tolist()):
+            blocks[i, j] = view(at, i, j)
+            if i < j and layout.dense:
+                blocks[j, i] = view(first[j] * self.n + first[i], j, i)
+            elif i < j:
+                blocks[j, i] = blocks[i, j].T
+        return MappingProxyType(dict(sorted(blocks.items())))
 
     @property
     def nnz(self):
-        return int(np.count_nonzero(self.data))
+        """Nonzero entries of both triangles."""
+        if self.layout.dense:
+            return int(np.count_nonzero(self.data))
+        diagonal = sum(np.count_nonzero(panel[:, : len(panel)]) for _, panel, _, _ in self.panels)
+        return int(2 * np.count_nonzero(self.data) - diagonal)
 
     def matvec(self, v):
         wrap = isinstance(v, CoefficientVector)
@@ -275,8 +326,17 @@ class CompressedKernelMatrix:
         if arr.shape != (self.n,):
             raise ValueError(f"dim mismatch: expected ({self.n},), got {arr.shape}")
         out = np.empty(self.n)
-        for rows, panel, cols in self.panels:
-            np.matmul(panel, arr[cols], out=out[rows])
+        if self.layout.dense:
+            np.matmul(self.data.reshape(self.n, self.n), arr, out=out)
+        else:
+            # the mirror blocks: each strict-upper part's transposed product
+            # lands at its columns' places in one buffer (zero at diagonal
+            # blocks), which then adds to the rows those columns name
+            mirror = np.zeros(len(self.layout.cols))
+            for rows, panel, cols, strict in self.panels:
+                np.matmul(panel, arr[cols], out=out[rows])
+                np.matmul(arr[rows], panel[:, len(panel) :], out=mirror[strict])
+            out += np.bincount(self.layout.cols, mirror, self.n)
         return CoefficientVector(out, self.basis) if wrap else out
 
     def __matmul__(self, v):
@@ -285,9 +345,12 @@ class CompressedKernelMatrix:
     def to_dense(self) -> np.ndarray:
         if self.n > DENSE_GUARD:
             raise ValueError(f"dense guard exceeded: {self.n} > {DENSE_GUARD}")
+        if self.layout.dense:
+            return self.data.reshape(self.n, self.n).copy()
         out = np.zeros((self.n, self.n))
-        for rows, panel, cols in self.panels:
+        for rows, panel, cols, _ in self.panels:
             out[rows, cols] = panel
+            out[cols[len(panel) :], rows] = panel[:, len(panel) :].T
         return out
 
 
@@ -322,7 +385,7 @@ def compress_assemble(
     cheb = _Chebyshev(tree, interp_degree)
     groups, gid, pos = basis.groups, basis.group, basis.position
     n, n_in, n_sc = len(tree.level), basis.n_in, basis.n_sc
-    keep = n_in - np.array(layout.width)  # leading rows not stored; 0 at the root
+    keep = n_in - layout.width  # leading rows not stored; 0 at the root
     children, level, size = tree.children, tree.level, tree.size
     leaf = children[:, 0] < 0
     i, j = layout.pairs[layout.pairs[:, 0] <= layout.pairs[:, 1]].T
@@ -343,16 +406,17 @@ def compress_assemble(
     exact = size[b] * (size[a] * (1 + na) + na * nb) <= G * (G * (1 + na) + na * nb)
     i, j = np.append(i, a), np.append(j, b)
     kind = np.append(kind, np.where(exact, _POINTS, _GRID))
-    # the data positions of the stored blocks and of their mirrors (clipped,
-    # so meaningless, for pairs that store nothing)
-    at = np.take(layout.at, np.searchsorted(layout.code, [i * n + j, j * n + i]), mode="clip")
+    # the data positions of the upper blocks (clipped, so meaningless, for
+    # pairs that store nothing)
+    code = np.minimum(i, j) * n + np.maximum(i, j)
+    at = np.take(layout.at, np.searchsorted(layout.code, code), mode="clip")
     # all pairs by total level, in batches of one block shape: one per kind,
     # pair of level groups and, for the fringe from points, pair of sizes;
     # level t's pairs are edge[t] : edge[t + 1]
     sized = kind == _POINTS
     batch = np.stack([level[i] + level[j], kind, gid[i], gid[j], size[i] * sized, size[j] * sized])
     order = np.lexsort(batch[::-1])
-    i, j, kind, at, batch = i[order], j[order], kind[order], at[:, order], batch[:, order]
+    i, j, kind, at, batch = i[order], j[order], kind[order], at[order], batch[:, order]
     edge = np.searchsorted(batch[0], np.arange(2 * tree.depth + 2)).tolist()
     first = np.diff(batch, prepend=-1).any(axis=0)  # a pair opens a batch
     # a refined pair (i, j) reads X = vstack(block(c, j)[:n_sc[c]] for the
@@ -376,7 +440,7 @@ def compress_assemble(
     want = np.stack([i * n + j, np.where(i == j, -1, j * n + i)])
     found = np.searchsorted(key, want)
     to = np.where(key[found] == want, read[found], -1)
-    del batch, end, c, f, read, key, by_key, want, found  # before the loop allocates
+    del code, batch, end, c, f, read, key, by_key, want, found  # before the loop allocates
     points, dim = tree.points.reshape(-1), tree.cloud.dim
 
     def points_of(c, s):  # the points of a stack of clusters of s points each
@@ -413,6 +477,8 @@ def compress_assemble(
                 ev = cheb.lagrange(c, points_of(c, s)).transpose(0, 2, 1)
                 factors[g][frow[c]] = np.matmul(ev, weights[g][wrow[c], :s])
 
+    # the plan arrays the level loop does not read
+    del turn, up, fringe, a, b, exact, sized, refine, wanted, on_grid
     data = np.zeros(layout.size)
     above = np.empty(0)
     for lev in range(2 * tree.depth, -1, -1):
@@ -425,6 +491,8 @@ def compress_assemble(
             k, ga, gb, na, nb = kind[s], gid[i[s]], gid[j[s]], n_in[i[s]], n_in[j[s]]
             sa, sb = size[i[s]], size[j[s]]
             wide = {_POINTS: max(sa * sb, sa * na, sb * nb), _GRID: G * G}
+            if k >= _POINTS:
+                x = X = None  # the level's refinements, which read its input, have run
             for part in _batches(e - s, wide.get(k, na * nb)):
                 part = slice(s + part.start, s + part.stop)
                 ai, bi = i[part], j[part]
@@ -461,7 +529,9 @@ def compress_assemble(
                 if stored.size:
                     mag = np.abs(stored)
                     stored[mag < ENTRY_DROP * mag.max(axis=(1, 2), keepdims=True)] = 0.0
-                    layout.place(data, at[:, part], ai, bi, stored)
+                    layout.place(data, at[part], ai, bi, stored)
+    if layout.dense:
+        _mirror(data.reshape(basis.n, basis.n))
     return CompressedKernelMatrix(basis, layout, data)
 
 
@@ -470,8 +540,8 @@ def add_compressed(
 ) -> CompressedKernelMatrix:
     """Blockwise sum; both operands must share a basis.  The pattern of the
     larger eta holds both operands' patterns, so it is their union: the sum
-    takes that operand's layout and adds the other one's panels to a copy
-    of its data."""
+    takes that operand's layout and adds the other one's upper panels to a
+    copy of its data."""
     if a.basis is not b.basis:
         raise ValueError("basis mismatch: operands built over different bases")
     if a.layout.eta < b.layout.eta:
@@ -480,10 +550,12 @@ def add_compressed(
     if b.data.size == a.data.size:  # both dense, or both of one pattern
         total.data += b.data
     elif a.layout.dense:  # b's panels add at their own rows and columns
-        for rows, add, cols in b.panels:
-            total.data.reshape(a.n, a.n)[rows, cols] += add
+        square = total.data.reshape(a.n, a.n)
+        for rows, add, cols, _ in b.panels:
+            square[rows, cols] += add
+        _mirror(square)
     else:  # panels of the same row clusters, whose columns hold b's
-        for (_, panel, own), (_, add, cols) in zip(total.panels, b.panels):
+        for (_, panel, own, _), (_, add, cols, _) in zip(total.panels, b.panels):
             panel[:, np.searchsorted(own, cols)] += add
     return total
 
@@ -515,15 +587,15 @@ def compression_error_report(basis, spec, eta, moment_degrees, interp_degree=6):
 
 
 _MAGIC = b"SMPB"
-_VERSION = 2
+_VERSION = 3
 _PREAMBLE = 36  # magic plus the "<IQIdQ" header
 
 
 def save_compressed(m: CompressedKernelMatrix, path):
     """Write the documented binary container (little-endian): the header,
-    the stored blocks' (row, col) cluster pairs, then the stored entries in
-    the panel form's order, gathered one row cluster at a time from the
-    N x N array in the dense form."""
+    the upper blocks' (row, col) cluster pairs, then their entries in the
+    panel form's order, gathered one row cluster at a time from the N x N
+    array in the dense form."""
     layout = m.layout
     with open(path, "wb") as fh:
         fh.write(_MAGIC + struct.pack("<IQIdQ", _VERSION, m.n, m.basis.moment_degree,
@@ -541,9 +613,9 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
     """Read a matrix container.  The basis must match the stored N and
     degree, the file's size the layout that the stored eta gives on the
     basis's tree, checked before any value is read, and the stored pairs
-    exactly that layout's stored blocks.  The entries are read straight into
-    the panel form's data, or one row cluster at a time into the N x N
-    array."""
+    exactly that layout's upper blocks.  The entries are read straight into
+    the panel form's data, or one row cluster at a time into the upper
+    triangle of the N x N array, whose lower one is then copied from it."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -564,7 +636,7 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
         layout = _Layout(basis, eta)
         keys = layout.keys
         size = os.fstat(fh.fileno()).st_size
-        expected = _PREAMBLE + 16 * len(keys) + 8 * layout.stored
+        expected = _PREAMBLE + 16 * len(keys) + 8 * layout.upper
         if (n_blocks, size) != (len(keys), expected):
             raise ValueError(
                 f"{n_blocks} blocks in {size} bytes: the file is truncated or does "
@@ -584,6 +656,7 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
                 shape = (rows.stop - rows.start, len(cols))
                 values = np.frombuffer(fh.read(8 * shape[0] * shape[1]), "<f8")
                 data.reshape(n, n)[rows, cols] = values.reshape(shape)
+            _mirror(data.reshape(n, n))
         elif fh.readinto(data) != data.nbytes:
             raise ValueError(f"truncated data: {path} changed while it was read")
     return CompressedKernelMatrix(basis, layout, data)

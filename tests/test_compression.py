@@ -383,11 +383,15 @@ def test_panel_columns_match_the_layout(panels1024, thin_wy):
         keys = comp.layout.keys
         owners = np.flatnonzero(np.diff(basis.slots, axis=1)[:, 0])
         assert len(comp.panels) == len(owners)
-        for i, (rows, panel, cols) in zip(owners.tolist(), comp.panels):
+        for i, (rows, panel, cols, strict) in zip(owners.tolist(), comp.panels):
             assert rows == slice(*slots[i])
             want = np.concatenate([np.arange(*slots[j]) for j in keys[keys[:, 0] == i, 1]])
             assert np.array_equal(cols, want) and (np.diff(want) > 0).all()
             assert np.array_equal(panel, placed[rows][:, cols])
+            # the upper blocks, the diagonal one first, and where the
+            # strict-upper columns lie in the layout's column index
+            assert np.array_equal(cols[: len(panel)], np.arange(*slots[i]))
+            assert np.array_equal(comp.layout.cols[strict], cols[len(panel) :])
 
 
 def test_storage_form_follows_stored_share(setup256, panels1024):
@@ -407,10 +411,11 @@ def test_storage_form_follows_stored_share(setup256, panels1024):
     clouds += [(mixed, 1.0, False), (mixed, 1.5, True)]  # 41.5%, 53.7%
     for basis, eta, dense in clouds:
         layout = _Layout(basis, eta)
-        stored = _pattern_nnz(basis, eta)
-        assert layout.stored == stored
+        stored, upper = _pattern_nnz(basis, eta), _pattern_nnz(basis, eta, upper=True)
+        assert (layout.stored, layout.upper) == (stored, upper)
         assert layout.dense == (2 * stored >= basis.n**2) == dense
-        assert layout.size == (basis.n**2 if dense else stored)
+        # the panel form holds the upper blocks alone
+        assert layout.size == (basis.n**2 if dense else upper)
 
 
 def test_matvec_matches_csr_product_of_same_entries(both_forms):
@@ -434,12 +439,13 @@ def test_error_report_trends(setup256):
     assert hi.rel_frobenius_error < lo.rel_frobenius_error
 
 
-def _pattern_nnz(basis, eta):
+def _pattern_nnz(basis, eta, upper=False):
     """Stored entries of the retained pattern: width(i) * width(j) summed
-    over its cluster pairs, widths from the basis's slot ranges."""
+    over its cluster pairs (i <= j only if `upper`), widths from the
+    basis's slot ranges."""
     width = basis.slots[:, 1] - basis.slots[:, 0]
     i, j = _pattern(basis.tree, eta).T
-    return int((width[i] * width[j]).sum())
+    return int((width[i] * width[j])[(i <= j) | (not upper)].sum())
 
 
 def test_nnz_doubling_ratio_loglinear():
@@ -471,14 +477,16 @@ def test_serialization_round_trip(tmp_path, monkeypatch, n, dim, q, seed):
     assert comp.layout.dense == (n < 1024)
     path = tmp_path / "matrix.smpb"
     save_compressed(comp, path)
-    # the documented layout: the stored pairs, then per row cluster its
-    # blocks side by side, row-major, which is the panel form's data
-    head = struct.pack("<IQIdQ", 2, n, q, 1.25, len(comp.blocks))
-    keys = np.array(list(comp.blocks), "<u8").tobytes()
-    rows = itertools.groupby(comp.blocks.items(), key=lambda item: item[0][0])
+    # the documented layout: the upper pairs (i <= j), then per row cluster
+    # its upper blocks side by side, row-major, which is the panel form's data
+    upper = {key: b for key, b in comp.blocks.items() if key[0] <= key[1]}
+    head = struct.pack("<IQIdQ", 3, n, q, 1.25, len(upper))
+    keys = np.array(list(upper), "<u8").tobytes()
+    rows = itertools.groupby(upper.items(), key=lambda item: item[0][0])
     body = b"".join(np.hstack([b for _, b in row]).astype("<f8").tobytes() for _, row in rows)
     raw = path.read_bytes()
     assert raw == b"SMPB" + head + keys + body
+    assert len(raw) == 36 + 16 * len(upper) + 8 * comp.layout.upper
     assert comp.layout.dense or body == comp.data.tobytes()
     loaded = load_compressed(path, basis)
     assert loaded.n == comp.n
@@ -498,15 +506,22 @@ def test_serialization_round_trip(tmp_path, monkeypatch, n, dim, q, seed):
     with pytest.raises(ValueError, match="does not match"):
         load_compressed(path, other)
     # version 1, block by block (a header of row, col, rows and cols each),
-    # is no longer read
+    # and version 2, the blocks of both triangles in the order above, are no
+    # longer read
     v1 = b"SMPB" + struct.pack("<IQIdQ", 1, n, q, 1.25, len(comp.blocks)) + b"".join(
         np.array([i, j, *b.shape], "<u8").tobytes() + b.astype("<f8").tobytes()
         for (i, j), b in comp.blocks.items()
     )
+    rows = itertools.groupby(comp.blocks.items(), key=lambda item: item[0][0])
+    v2 = b"SMPB" + struct.pack("<IQIdQ", 2, n, q, 1.25, len(comp.blocks)) + b"".join(
+        [np.array(list(comp.blocks), "<u8").tobytes()]
+        + [np.hstack([b for _, b in row]).astype("<f8").tobytes() for _, row in rows]
+    )
     bad = tmp_path / "bad.smpb"
-    bad.write_bytes(v1)
-    with pytest.raises(ValueError, match="unsupported container version 1"):
-        load_compressed(bad, basis)
+    for version, old in ((1, v1), (2, v2)):
+        bad.write_bytes(old)
+        with pytest.raises(ValueError, match=f"unsupported container version {version}"):
+            load_compressed(bad, basis)
     # the first pair's column id and the last pair's row id, one too many
     for at in (36 + 8, 36 + len(keys) - 16):
         word = int.from_bytes(raw[at : at + 8], "little") + 1
@@ -551,7 +566,7 @@ def test_load_memory_bounded_by_the_pair_read(tmp_path, panels1024):
     # a dense-side (N=1024, d=2) and a panel-side cloud; the entries are read
     # straight into the array the loaded matrix keeps, or one row cluster at
     # a time into the dense one, so beyond what that matrix holds, loading
-    # needs the stored pairs' 16 bytes per block
+    # needs the upper pairs' 16 bytes per block
     dense = build_basis(np.random.default_rng(48).random((1024, 2)), 3)
     for basis in (dense, panels1024[0]):
         comp = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=4)
@@ -565,12 +580,42 @@ def test_load_memory_bounded_by_the_pair_read(tmp_path, panels1024):
             tracemalloc.stop()
         assert loaded.layout.dense == (basis is dense)
         blocks = len(loaded.layout.keys)
-        # and, in the dense form, two row clusters' entries: the one read
-        # and the one before it.  Measured: 434 kB against 16 * 9633 + 2 *
-        # 164 kB on the dense side, 192 kB against 16 * 9493 on the panel
-        # side, where the rest is the panels' per-row-cluster lists
-        chunk = max(8 * (r.stop - r.start) * len(c) for r, c in loaded.layout.patterns())
-        assert peak - held <= 16 * blocks + 2 * chunk * loaded.layout.dense + (1 << 16)
+        # and, in the dense form, two row clusters' entries (the one read
+        # and the one before it) and the column patterns, which only the
+        # panel form keeps.  Measured: 679 kB against 16 * 4880 + 2 * 164 kB
+        # + 8 * 40302 on the dense side, 94 kB against 16 * 4874 on the
+        # panel side, where the rest is the panels' per-row-cluster lists
+        patterns = loaded.layout.patterns()
+        chunk = max(8 * (r.stop - r.start) * len(c) for r, c in patterns)
+        columns = 8 * sum(len(c) for _, c in patterns)
+        bound = 16 * blocks + (2 * chunk + columns) * loaded.layout.dense + (1 << 16)
+        assert peak - held <= bound
+
+
+def test_loaded_dense_matrix_holds_its_data_and_per_block_arrays(tmp_path, setup256):
+    # the dense form keeps no column pattern (save and load build it for each
+    # call): beyond its N x N data a loaded matrix holds the pattern and the
+    # upper keys with their codes and data positions, a few words per block.
+    # Measured: 34.3 bytes per block of both triangles on the N = 1024 grid
+    # cloud of the benchmarks, 42.1 on the 256 sites, where the per-cluster
+    # arrays weigh more; 118.6 and 124.9 with the column pattern (0.66 MB
+    # on the grid) that the dense form kept before
+    rng = np.random.default_rng(17)
+    cells = np.stack(np.meshgrid(np.arange(32), np.arange(32)), -1).reshape(-1, 2)
+    grid = build_basis((cells + 0.1 + 0.8 * rng.random(cells.shape)) / 32, 3)
+    for basis in (grid, setup256[2]):
+        comp = compress_assemble(basis, setup256[1], eta=1.25, interp_degree=4)
+        save_compressed(comp, tmp_path / "matrix.smpb")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_compressed(tmp_path / "matrix.smpb", basis)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert loaded.layout.dense
+        assert held - loaded.data.nbytes <= 40 * len(loaded.blocks) + (1 << 14)
 
 
 def test_load_rejects_short_header(tmp_path, setup256):
@@ -581,12 +626,16 @@ def test_load_rejects_short_header(tmp_path, setup256):
 
 
 def test_blocks_are_writable_views(tmp_path, both_forms):
+    # a dense-form block is its own region of the N x N array; a panel-form
+    # mirror block is the transpose of its upper block, so a write to either
+    # moves the product at both of its entries
     for basis, spec in both_forms:
         comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
         save_compressed(comp, tmp_path / "matrix.smpb")
         v = np.random.default_rng(46).standard_normal(basis.n)
         for m in (comp, load_compressed(tmp_path / "matrix.smpb", basis)):
             assert all(np.shares_memory(b, m.data) for b in m.blocks.values())
+            mirrors = 0
             for (i, j), block in list(m.blocks.items())[:: len(m.blocks) // 7]:
                 before = m.matvec(v)
                 block[-1, 0] += 1.0
@@ -594,7 +643,13 @@ def test_blocks_are_writable_views(tmp_path, both_forms):
                 r, c = basis.slots[i, 1] - 1, basis.slots[j, 0]
                 assert change[r] == pytest.approx(v[c], abs=1e-12)
                 change[r] = 0.0
+                if i != j and not m.layout.dense:
+                    assert np.shares_memory(block, m.blocks[j, i])
+                    assert change[c] == pytest.approx(v[r], abs=1e-12)
+                    change[c] = 0.0
+                    mirrors += i > j
                 assert np.all(change == 0.0)
+            assert mirrors > 0 or m.layout.dense
 
 
 def _per_pair_assembly(basis, spec, eta, degree):
@@ -722,8 +777,10 @@ def test_assembly_peak_bounded_by_the_stored_operator():
     # each level's input holds only the scaling rows that its refined pairs
     # read, and only two inputs are alive at a time; with full-block level
     # stores this cloud peaked at 2.08x the data and a CSR index of 64.8 MB,
-    # 135 MB.  The operator is stored as its data and the panels' column
-    # index, 48.2 MB, and the peak is 97.4 MB
+    # 135 MB.  The operator is stored as its upper blocks' data and the
+    # panels' column index, 24.2 MB, and the peak is 70.6 MB: the plans and
+    # level inputs cover both triangles.  With both triangles stored (48.2
+    # MB) the peak was 97.4 MB, under a bound of 2.1x the operator, 101 MB
     basis = build_basis(np.random.default_rng(0).random((4096, 2)), 3)
     spec = Matern(0.5, 0.1)
     compress_assemble(basis, spec, 1.25, 6)  # warm-up: no first-use import is traced
@@ -736,7 +793,7 @@ def test_assembly_peak_bounded_by_the_stored_operator():
         tracemalloc.stop()
     layout = comp.layout
     assert not layout.dense
-    assert peak <= 2.1 * (comp.data.nbytes + layout.cols.nbytes)
+    assert peak <= 3 * (comp.data.nbytes + layout.cols.nbytes)
 
 
 def test_high_dimensional_fringe_from_points(monkeypatch):
@@ -759,7 +816,7 @@ def test_high_dimensional_fringe_from_points(monkeypatch):
     assert sum(counted) < n * n
     dense = transform_matrix_congruence(basis, dense_kernel_matrix(spec, cloud))
     # every stored entry against the congruence at its pattern position
-    (r0, r1), (c0, c1) = basis.slots[comp.layout.keys].transpose(1, 2, 0)
+    (r0, r1), (c0, c1) = basis.slots[np.array(list(comp.blocks))].transpose(1, 2, 0)
     gap = max(
         np.abs(block - dense[a:b, c:d]).max()
         for block, a, b, c, d in zip(comp.blocks.values(), r0, r1, c0, c1)

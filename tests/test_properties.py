@@ -3,16 +3,18 @@
 Clouds of 1 to 300 sites in 1 to 6 dimensions: uniform, duplicated and
 collinear sites, shifted by 1e8 or scaled by 1e-9, and clouds below the
 leaf size.  Every property holds on every cloud: an orthonormal dense
-transform, vanishing moments, a forward/inverse round trip and an exactly
-symmetric compressed operator, and a cluster tree that splits each cluster
-at the median of its longest axis.  The runs are derandomized, so a failure
-reproduces.
+transform, vanishing moments, a forward/inverse round trip, a compressed
+operator that is exactly symmetric, multiplies as its dense matrix does and
+is saved to the same bytes in both storage forms, and a cluster tree that
+splits each cluster at the median of its longest axis.  The runs are
+derandomized, so a failure reproduces.
 """
 
 import itertools
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from samplets import (
     load_compressed,
     save_compressed,
 )
+from samplets import compression
 from samplets.construction import default_leaf_size, monomial_exponents, monomial_values
 
 KINDS = ("uniform", "duplicates", "collinear", "below-leaf")
@@ -59,6 +62,17 @@ clouds = st.builds(
     offset=st.sampled_from([0.0, 1e8]),
     scale=st.sampled_from([1.0, 1e-9]),
 )
+
+
+def _in_each_form(basis):
+    """The compressed operator of the basis, assembled in the dense form and
+    in the panel form: every share of N x N held as one array, then none."""
+    for share in (0.0, 2.0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compression, "_DENSE_SHARE", share)
+            A = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=2)
+        assert A.layout.dense == (share == 0.0)
+        yield A, share
 
 
 def _each_kind(test):
@@ -152,31 +166,49 @@ def test_round_trip(cloud):
 @_each_kind
 @given(clouds)
 def test_compressed_operator_exactly_symmetric(cloud):
+    # in both forms: the dense matrix, the product and the mirror blocks,
+    # which the panel form does not store
     pts, degree = cloud
     basis = build_basis(pts, degree)
-    A = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=2)
-    D = A.to_dense()
-    assert np.array_equal(D, D.T)  # NaN entries would fail too
+    v = np.random.default_rng(len(pts)).standard_normal(len(pts))
+    dense = []
+    for A, _ in _in_each_form(basis):
+        D = A.to_dense()
+        assert np.array_equal(D, D.T)  # NaN entries would fail too
+        want = D @ v
+        assert np.linalg.norm(A @ v - want) <= 1e-14 * np.linalg.norm(want)
+        for (i, j), block in A.blocks.items():
+            assert np.array_equal(block.view(np.uint64), A.blocks[j, i].T.view(np.uint64))
+        dense.append(D)
+    assert np.array_equal(*dense)
 
 
 @properties
 @_each_kind
 @given(clouds)
 def test_smpb_round_trip(tmp_path_factory, cloud):
+    # in both forms, each file loaded in the form it was saved from
     pts, degree = cloud
     basis = build_basis(pts, degree)
-    A = compress_assemble(basis, Matern(0.5, 0.1), eta=1.25, interp_degree=2)
     path = tmp_path_factory.mktemp("smpb") / "matrix.smpb"
-    save_compressed(A, path)
-    # the documented layout: the stored pairs, then per row cluster its
-    # blocks side by side, row-major
-    head = struct.pack("<IQIdQ", 2, len(pts), degree, 1.25, len(A.blocks))
-    keys = np.array(list(A.blocks), "<u8").tobytes()
-    rows = itertools.groupby(A.blocks.items(), key=lambda item: item[0][0])
-    body = b"".join(np.hstack([b for _, b in row]).astype("<f8").tobytes() for _, row in rows)
-    raw = path.read_bytes()
-    assert raw == b"SMPB" + head + keys + body
-    B = load_compressed(path, basis)
-    assert np.array_equal(B.data.view(np.uint64), A.data.view(np.uint64))
-    save_compressed(B, path)
-    assert path.read_bytes() == raw
+    files = []
+    for A, share in _in_each_form(basis):
+        save_compressed(A, path)
+        # the documented layout: the upper pairs (i <= j), then per row
+        # cluster its upper blocks side by side, row-major
+        upper = {key: b for key, b in A.blocks.items() if key[0] <= key[1]}
+        head = struct.pack("<IQIdQ", 3, len(pts), degree, 1.25, len(upper))
+        keys = np.array(list(upper), "<u8").tobytes()
+        rows = itertools.groupby(upper.items(), key=lambda item: item[0][0])
+        body = b"".join(np.hstack([b for _, b in row]).astype("<f8").tobytes() for _, row in rows)
+        raw = path.read_bytes()
+        assert raw == b"SMPB" + head + keys + body
+        assert len(raw) == 36 + 16 * len(upper) + 8 * A.layout.upper
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(compression, "_DENSE_SHARE", share)
+            B = load_compressed(path, basis)
+        assert np.array_equal(B.data.view(np.uint64), A.data.view(np.uint64))
+        save_compressed(B, path)
+        assert path.read_bytes() == raw
+        files.append(raw)
+    assert files[0] == files[1]  # the bytes do not depend on the form
