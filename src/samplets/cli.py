@@ -19,6 +19,7 @@ from .compression import compress_assemble, compression_error_report, save_compr
 from .construction import build_basis
 from .io import (
     InputError,
+    csv_rows,
     read_coefficients,
     read_points,
     write_coefficients,
@@ -279,8 +280,7 @@ def _run_interpolate(spec: RunSpec):
     write_coefficients(beta, spec.output, extra=_rescale_meta(offset, scale))
     alpha = inverse_transform(basis, beta)
     with open(str(spec.output) + ".alpha.csv", "w", encoding="utf-8") as fh:
-        fh.write("alpha\n")
-        fh.writelines(f"{a:.17g}\n" for a in alpha)
+        fh.write("alpha\n" + csv_rows(alpha))
     write_report_csv(
         str(spec.output) + ".report.csv",
         ["converged", "iterations", "residual", "ridge", "tol"],

@@ -157,15 +157,20 @@ def _blocks_at(buf, rows, cols, stride):
     return np.ndarray((starts, rows, cols), buf.dtype, buf, 0, (step, step * stride, step))
 
 
-def _mirror(square, tile=64):
+def _mirror(square, diagonal=(), tile=64):
     """Fill the strict lower triangle of a square array with copies of its
-    upper one, a column strip at a time, with no temporary beyond a tile."""
+    upper one, a column strip at a time, with no temporary beyond a tile.
+    The diagonal blocks over the slot ranges `diagonal` keep the lower
+    halves they hold."""
+    kept = [square[rows, rows].copy() for rows in diagonal]
     n = len(square)
     for s in range(0, n, tile):
         e = min(s + tile, n)
         square[e:, s:e] = square[s:e, e:].T  # disjoint memory: copied in place
         corner = square[s:e, s:e]
         np.copyto(corner, corner.T, where=np.tri(e - s, k=-1, dtype=bool))
+    for rows, block in zip(diagonal, kept):
+        square[rows, rows] = block
 
 
 class _Layout:
@@ -178,8 +183,8 @@ class _Layout:
     `stored` counts the entries of the blocks of both triangles, `upper`
     those of the keys.  Where the former fill at least half of N x N
     (`_DENSE_SHARE`; `dense`), the data is one row-major N x N array, zero
-    off the pattern, whose lower triangle is a copy of its upper one;
-    otherwise it holds the keys' entries alone.
+    off the pattern, whose lower triangle off the diagonal blocks is a copy
+    of its upper one; otherwise it holds the keys' entries alone.
 
     The upper rows of row cluster i span one column pattern, the ascending
     slot ranges of its keys (its diagonal block first), which `patterns`
@@ -553,7 +558,7 @@ def add_compressed(
         square = total.data.reshape(a.n, a.n)
         for rows, add, cols, _ in b.panels:
             square[rows, cols] += add
-        _mirror(square)
+        _mirror(square, [rows for rows, _, _, _ in b.panels])
     else:  # panels of the same row clusters, whose columns hold b's
         for (_, panel, own, _), (_, add, cols, _) in zip(total.panels, b.panels):
             panel[:, np.searchsorted(own, cols)] += add
@@ -615,7 +620,8 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
     basis's tree, checked before any value is read, and the stored pairs
     exactly that layout's upper blocks.  The entries are read straight into
     the panel form's data, or one row cluster at a time into the upper
-    triangle of the N x N array, whose lower one is then copied from it."""
+    triangle of the N x N array, whose lower one is then copied from it off
+    the diagonal blocks, which are kept as stored."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -652,11 +658,12 @@ def load_compressed(path, basis) -> CompressedKernelMatrix:
             )
         data = np.zeros(layout.size, "<f8")
         if layout.dense:
-            for rows, cols in layout.patterns():
+            patterns = layout.patterns()
+            for rows, cols in patterns:
                 shape = (rows.stop - rows.start, len(cols))
                 values = np.frombuffer(fh.read(8 * shape[0] * shape[1]), "<f8")
                 data.reshape(n, n)[rows, cols] = values.reshape(shape)
-            _mirror(data.reshape(n, n))
+            _mirror(data.reshape(n, n), [rows for rows, _ in patterns])
         elif fh.readinto(data) != data.nbytes:
             raise ValueError(f"truncated data: {path} changed while it was read")
     return CompressedKernelMatrix(basis, layout, data)

@@ -48,11 +48,56 @@ def moment_count(degree: int, dim: int) -> int:
 def monomial_values(points: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     """Matrix of x^alpha, one row per exponent, one column per point; the
     axis factors are gathered from one table of each coordinate's powers."""
-    powers = points[:, :, None] ** np.arange(exponents.max(initial=0) + 1)
-    values = powers[:, 0, exponents[:, 0]]
+    powers = _power_table(points, int(exponents.max(initial=0))).transpose(1, 2, 0)
+    values = powers[0][exponents[:, 0]]
     for k in range(1, points.shape[1]):
-        values = values * powers[:, k, exponents[:, k]]
-    return values.T
+        values *= powers[k][exponents[:, k]]
+    return values
+
+
+def _power_table(x, top, scalar_pow=False):
+    """x[..., None] ** arange(top + 1) as numpy's power loop gives it or,
+    with `scalar_pow`, as Python's float `**` (the C library's pow) gives it
+    one value at a time; the two differ in the last bit of a few percent of
+    values.  The exponents 0 and 1 are exact, so they are written, not
+    computed; `**` runs on two or more exponents, since with a lone exponent
+    2 numpy takes an x*x path that rounds otherwise than its power loop."""
+    table = np.empty(x.shape + (top + 1,))
+    table[..., 0] = 1.0
+    if top:
+        table[..., 1] = x
+    if top > 1:
+        low = 1 if top == 2 else 2
+        base = x.astype(object) if scalar_pow else x
+        table[..., low:] = base[..., None] ** np.arange(low, top + 1)
+    return table
+
+
+def _shift_terms(exponents):
+    """Exponent-only tables of the re-expansion over its entries with
+    beta <= alpha (all others are 0): their rows and columns, |beta|, and
+    per axis C(alpha_k, beta_k) and alpha_k - beta_k."""
+    diff = exponents[:, None, :] - exponents[None, :, :]
+    rows, cols = np.nonzero((diff >= 0).all(axis=2))
+    top = int(exponents.max(initial=0))
+    pascal = np.array(
+        [[comb(a, b) for b in range(top + 1)] for a in range(top + 1)], dtype=float
+    )
+    binom = pascal[exponents[rows], exponents[cols]]
+    return rows, cols, exponents.sum(axis=1)[cols], binom, diff[rows, cols]
+
+
+def _shift_stack(terms, m, r_pow, o_pow):
+    """Re-expansion matrices (c x m x m) of c frames from the tables of
+    `_shift_terms` and the frames' powers, r_pow[c, e] = r^e of the scale
+    ratio and o_pow[c, k, e] = o_k^e of the offset."""
+    rows, cols, total, binom, diff = terms
+    values = r_pow[:, total]
+    for k in range(binom.shape[1]):
+        values = values * (binom[:, k] * o_pow[:, k, diff[:, k]])
+    S = np.zeros((len(values), m, m))
+    S[:, rows, cols] = values
+    return S
 
 
 def moment_shift_matrix(exponents, scale_ratio, offset):
@@ -68,26 +113,14 @@ def moment_shift_matrix(exponents, scale_ratio, offset):
     order, so every entry is rounded exactly as in the term-by-term expansion.
     """
     exponents = np.asarray(exponents)
-    dim = exponents.shape[1]
     ratios = np.asarray(scale_ratio, dtype=float)
-    offsets = np.asarray(offset, dtype=float).reshape(-1, dim)
-    top = int(exponents.max(initial=0))
-    total = exponents.sum(axis=1)
-    diff = exponents[:, None, :] - exponents[None, :, :]
-    below = (diff >= 0).all(axis=2)
-    diff = np.where(below[:, :, None], diff, 0)
-    pascal = np.array([[comb(a, b) for b in range(top + 1)] for a in range(top + 1)])
-    binom = pascal[exponents[:, None, :], exponents[None, :, :]].astype(float)
-    powers = range(int(total.max(initial=0)) + 1)
-    r_pow = np.array([[r**e for e in powers] for r in ratios.reshape(-1).tolist()])
-    o_pow = np.array(
-        [[[o**e for e in range(top + 1)] for o in row] for row in offsets.tolist()]
-    )
-    S = r_pow[:, None, total]
-    for k in range(dim):
-        S = S * (binom[:, :, k] * o_pow[:, k, diff[:, :, k]])
-    S = np.where(below, S, 0.0)
-    return S.reshape(ratios.shape + below.shape)
+    offsets = np.asarray(offset, dtype=float).reshape(-1, exponents.shape[1])
+    terms = _shift_terms(exponents)
+    total, top = int(terms[2].max(initial=0)), int(exponents.max(initial=0))
+    r_pow = _power_table(ratios.reshape(-1), total, scalar_pow=True)
+    o_pow = _power_table(offsets, top, scalar_pow=True)
+    S = _shift_stack(terms, len(exponents), r_pow, o_pow)
+    return S.reshape(ratios.shape + S.shape[1:])
 
 
 class LevelGroup:
@@ -98,7 +131,10 @@ class LevelGroup:
     incoming distribution of the c-th cluster: a point index (original
     order) in a leaf group, a row of the sweep buffer of the SampletBasis
     otherwise.  Buffer row `scatter[c, j]` receives its j-th generated
-    distribution (scaling distributions first, then samplets).
+    distribution (scaling distributions first, then samplets).  The sweeps
+    read and write the incoming rows through `rows`: a slice where they are
+    one run of the sweep buffer, as in every interior group of a balanced
+    tree, so that they are a view, and `gather` flattened otherwise.
 
     A group keeps its explicit stack `q` where one n_in x n_in product costs
     no more multiplications than the three of the compact WY form:
@@ -110,7 +146,7 @@ class LevelGroup:
     (k x k) their triangular factor, Q = (I - V T V^T) S = S (I - U T U^T)
     for U = S V; `ut` holds U^T (None in an explicit group).  WY sweeps read
     about 8k + 1 bytes per incoming value, not 8 n_in, and form `q` on first
-    use.
+    use.  An explicit group also holds `qt`, the transposed view of `q`.
 
     `analyze` and `synthesize` take stacks with or without a trailing column
     axis (clusters x n_in [x cols]); the WY form works in the memory of its
@@ -118,8 +154,8 @@ class LevelGroup:
     """
 
     __slots__ = (
-        "level", "leaf", "index", "n_scaling", "gather", "scatter", "ut", "t",
-        "sign", "_q",
+        "level", "leaf", "index", "n_scaling", "gather", "scatter", "rows", "ut",
+        "t", "sign", "_q", "qt",
     )
 
     def __init__(self, level, leaf, index, n_scaling, gather, scatter):
@@ -129,16 +165,20 @@ class LevelGroup:
         self.n_scaling = n_scaling
         self.gather = gather
         self.scatter = scatter
+        rows, first = gather.ravel(), int(gather[0, 0])
+        run = not leaf and np.array_equal(rows, first + np.arange(rows.size))
+        self.rows = slice(first, first + rows.size) if run else rows
 
     def factorize(self, moments):
         """Deterministic Householder QR of the stacked transposed moment
-        matrices (clusters x n_in x m): sets the transforms and returns R."""
-        h, tau = np.linalg.qr(moments, mode="raw")
-        n, k = h.shape[-1], tau.shape[-1]
-        R = np.triu(h.transpose(0, 2, 1))
-        vt = np.triu(h[:, :k, :], 1)
-        vt[:, np.arange(k), np.arange(k)] = 1.0
-        del h
+        matrices (clusters x n_in x m), in their memory: sets the transforms
+        and returns the leading min(n_in, m) rows of R."""
+        tau = _umath_linalg.qr_r_raw(moments, signature="d->d")
+        n, m, k = moments.shape[1], moments.shape[2], tau.shape[-1]
+        row = np.arange(k)[:, None]
+        R = np.where(row <= np.arange(m), moments[:, :k, :], 0.0)
+        h = moments.transpose(0, 2, 1)[:, :k, :]
+        vt = np.where(row < np.arange(n), h, np.eye(k, n))  # unit upper trapezoidal
         self._q = _form_q(vt, tau)
         sign = _fix_signs(self._q, R)
         self.ut = None
@@ -148,6 +188,8 @@ class LevelGroup:
             vt *= sign[:, None, :]
             self.ut = vt
             self.sign = sign.astype(np.int8)
+        else:
+            self.qt = self._q.transpose(0, 2, 1)
         return R
 
     @property
@@ -161,28 +203,23 @@ class LevelGroup:
 
     def analyze(self, x):
         """Q^T x for a stack x of incoming values."""
+        y = x if x.ndim == 3 else x[..., None]
         if self.ut is None:
-            return _matmul(self._q.transpose(0, 2, 1), x)
-        x *= self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 2))
-        z = _matmul(self.t.transpose(0, 2, 1), _matmul(self.ut, x))
-        x -= _matmul(self.ut.transpose(0, 2, 1), z)
-        return x
+            return np.matmul(self.qt, y).reshape(x.shape)
+        y *= self.sign[:, :, None]
+        z = np.matmul(self.t.transpose(0, 2, 1), np.matmul(self.ut, y))
+        y -= np.matmul(self.ut.transpose(0, 2, 1), z)
+        return y.reshape(x.shape)
 
     def synthesize(self, x):
         """Q x for a stack x of generated values."""
+        y = x if x.ndim == 3 else x[..., None]
         if self.ut is None:
-            return _matmul(self._q, x)
-        z = _matmul(self.t, _matmul(self.ut, x))
-        x -= _matmul(self.ut.transpose(0, 2, 1), z)
-        x *= self.sign.reshape(self.sign.shape + (1,) * (x.ndim - 2))
-        return x
-
-
-def _matmul(a, x):
-    """a @ x for a stack of matrices a and a stack x of vectors or matrices."""
-    if x.ndim == 2:
-        return np.matmul(a, x[..., None])[..., 0]
-    return np.matmul(a, x)
+            return np.matmul(self._q, y).reshape(x.shape)
+        z = np.matmul(self.t, np.matmul(self.ut, y))
+        y -= np.matmul(self.ut.transpose(0, 2, 1), z)
+        y *= self.sign[:, :, None]
+        return y.reshape(x.shape)
 
 
 def _form_q(vt, tau):
@@ -224,19 +261,24 @@ def dirac_moments(points, exponents, center, scale):
 
 
 def _fix_signs(Q, R):
-    """Make a stack of factorizations deterministic, in place: nonnegative
-    diagonal of R, and null-space columns oriented so their first significant
-    entry is positive.  Returns the column signs applied to Q."""
+    """Make a stack of factorizations with orthogonal Q deterministic, in
+    place: nonnegative diagonal of R, and null-space columns oriented so
+    their first significant entry (above 1e-12 times the column's largest)
+    is positive.  Returns the column signs applied to Q.
+
+    No entry of an orthonormal column exceeds 2, so a first entry above
+    2e-12 in magnitude is significant; only the other columns are searched.
+    """
     k = min(R.shape[-2:])
-    null = Q[..., k:]
-    mag = np.abs(null)
-    lead = np.argmax(mag > 1e-12 * mag.max(axis=-2, keepdims=True), axis=-2)
+    lead = Q[..., 0, k:].copy()
+    search = np.nonzero(np.abs(lead) <= 2e-12)
+    if search[0].size:
+        cols = np.moveaxis(Q[..., k:], -2, -1)[search]
+        mag = np.abs(cols)
+        first = np.argmax(mag > 1e-12 * mag.max(axis=-1, keepdims=True), axis=-1)
+        lead[search] = cols[np.arange(len(first)), first]
     flip = np.concatenate(
-        [
-            np.diagonal(R, axis1=-2, axis2=-1) < 0.0,
-            np.take_along_axis(null, lead[..., None, :], axis=-2)[..., 0, :] < 0.0,
-        ],
-        axis=-1,
+        [np.diagonal(R, axis1=-2, axis2=-1) < 0.0, lead < 0.0], axis=-1
     )
     sign = np.where(flip, -1.0, 1.0)
     Q *= sign[..., None, :]
@@ -337,22 +379,23 @@ def _level_groups(tree, n_scaling_cap):
     up[0] = slot_row  # the root's scaling distributions lead the slots
     first = np.where(is_leaf, tree.start, up[children[:, 0]])
     group, position = np.empty_like(n_in), np.empty_like(n_in)
+    # deepest level first; in a level interior clusters first, then by n_in
+    order = np.lexsort((n_in, is_leaf, -level))
+    kinds = np.stack([level, is_leaf, n_in])[:, order]
+    cuts = np.flatnonzero((kinds[:, 1:] != kinds[:, :-1]).any(axis=0)) + 1
+    heads = kinds[:, np.r_[0, cuts]].T.tolist()
     groups = []
-    for lev in range(tree.depth, -1, -1):
-        members = np.flatnonzero(level == lev)
-        kinds = np.stack([is_leaf[members], n_in[members]], axis=1)
-        for leaf, width in np.unique(kinds, axis=0).tolist():
-            index = members[(kinds == (leaf, width)).all(axis=1)]
-            group[index], position[index] = len(groups), np.arange(len(index))
-            ns = min(width, n_scaling_cap)
-            gather = first[index, None] + np.arange(width)
-            if leaf:
-                gather = tree.permutation[gather]
-            scatter = np.hstack([
-                up[index, None] + np.arange(ns),
-                slot_row + offsets[index, None] + np.arange(width - ns),
-            ])
-            groups.append(LevelGroup(lev, bool(leaf), index, ns, gather, scatter))
+    for (lev, leaf, width), index in zip(heads, np.split(order, cuts)):
+        group[index], position[index] = len(groups), np.arange(len(index))
+        ns = min(width, n_scaling_cap)
+        gather = first[index, None] + np.arange(width)
+        if leaf:
+            gather = tree.permutation[gather]
+        scatter = np.hstack([
+            up[index, None] + np.arange(ns),
+            slot_row + offsets[index, None] + np.arange(width - ns),
+        ])
+        groups.append(LevelGroup(lev, bool(leaf), index, ns, gather, scatter))
     return group, position, n_in, n_sc, slots, groups, slot_row
 
 
@@ -367,13 +410,17 @@ def build_samplet_basis(
     successively more vanishing moments; default is no extra rows.
 
     Each level group takes one stacked QR factorization of its clusters'
-    moment matrices (`LevelGroup.factorize`).  The first min(n_in, number of
-    moments up to moment_degree) columns of Q become scaling distributions,
-    the rest samplets; the k-th generated
-    distribution has at least k-1 vanishing moments, and rank-deficient
-    moment matrices only produce samplets with extra vanishing moments.  The
-    scaling moments (R^T) are re-expanded into the parent's frame, so no
-    point data is revisited above the leaf level.
+    moment matrices (`LevelGroup.factorize`), in their memory: the leaves'
+    Dirac moments, or the group's rows of the moment buffer, a view where
+    they are one run.  The first min(n_in, number of moments up to
+    moment_degree) columns of Q become scaling distributions, the rest
+    samplets; the k-th generated distribution has at least k-1 vanishing
+    moments, and rank-deficient moment matrices only produce samplets with
+    extra vanishing moments.  The scaling moments (R^T) are re-expanded into
+    the parent's frame, so no point data is revisited above the leaf level.
+    The re-expansion's exponent tables and every cluster's frame powers are
+    built once per basis; each group evaluates its stack on the entries
+    beta <= alpha alone.
     """
     if moment_degree < 0:
         raise ValueError("moment_degree must be >= 0")
@@ -387,6 +434,13 @@ def build_samplet_basis(
         *_level_groups(tree, moment_count(moment_degree, tree.cloud.dim)),
     )
     centers, scales = local_frames(tree)
+    # the frames' powers and the exponent tables of their re-expansions into
+    # the parent frame, once per basis; the root's frame maps onto itself
+    up = np.maximum(tree.parent, 0)
+    offsets = (centers - centers[up]) / scales[up, None]
+    r_pow = _power_table(scales / scales[up], carry_degree, scalar_pow=True)
+    o_pow = _power_table(offsets, carry_degree, scalar_pow=True)
+    terms = _shift_terms(exponents)
 
     # moments of the scaling distributions in their parent's frame, by
     # sweep buffer row; leaves take the Diracs' moments in their own frame
@@ -398,14 +452,9 @@ def build_samplet_basis(
                 centers[g.index, None], scales[g.index, None, None],
             ))
         else:
-            R = g.factorize(moments[g.gather])
+            R = g.factorize(moments[g.rows].reshape(g.gather.shape + (-1,)))
         if g.level > 0:
-            p = tree.parent[g.index]
-            shift = moment_shift_matrix(
-                exponents,
-                scales[g.index] / scales[p],
-                (centers[g.index] - centers[p]) / scales[p, None],
-            )
+            shift = _shift_stack(terms, len(exponents), r_pow[g.index], o_pow[g.index])
             scaling = R.transpose(0, 2, 1)[:, :, : g.n_scaling]
             moments[g.scatter[:, : g.n_scaling]] = np.matmul(shift, scaling).transpose(
                 0, 2, 1

@@ -89,17 +89,22 @@ def _read_points_csv(path) -> PointCloud:
         raise InputError(f"{path}: {exc}") from None
 
 
+def csv_rows(*columns) -> str:
+    """CSV rows of float columns (arrays of one length, 1-d or 2-d), every
+    value as %.17g, formatted in one %-operation over all of them."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return row * len(table) % tuple(table.ravel().tolist())
+
+
 def _write_points_csv(cloud: PointCloud, path):
+    header = [f"x{i}" for i in range(cloud.dim)]
+    columns = [cloud.points]
+    if cloud.values is not None:
+        header.append("value")
+        columns.append(cloud.values)
     with open(path, "w", encoding="utf-8") as fh:
-        header = ",".join(f"x{i}" for i in range(cloud.dim))
-        if cloud.values is not None:
-            header += ",value"
-        fh.write(header + "\n")
-        for i in range(len(cloud)):
-            row = ",".join(f"{x:.17g}" for x in cloud.points[i])
-            if cloud.values is not None:
-                row += f",{cloud.values[i]:.17g}"
-            fh.write(row + "\n")
+        fh.write(",".join(header) + "\n" + csv_rows(*columns))
 
 
 def _read_points_binary(path) -> PointCloud:
@@ -149,9 +154,8 @@ def write_coefficients(coeffs, path, extra=None):
     """Coefficient CSV (slot order) plus a sidecar with everything needed to
     rebuild the generating basis."""
     basis = coeffs.basis
-    lines = [f"{c:.17g}\n" for c in coeffs.slots.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("coeff\n" + "".join(lines))
+        fh.write("coeff\n" + csv_rows(coeffs.slots))
     meta = {
         "n": int(basis.n),
         "dim": int(basis.tree.cloud.dim),

@@ -2,8 +2,11 @@
 
 Both directions sweep the cluster tree once, one stacked product per level
 group of the basis, so the cost is linear in the number of points and the
-Python work is per level, not per cluster.  The slot enumeration is the one
-fixed by SampletBasis.
+Python work is per level, not per cluster.  Vectors and matrices, explicit
+and WY groups take one path: a group's incoming rows are read (forward) and
+written (inverse) through its `rows`, a view where they are one run of the
+sweep buffer, and its generated rows through `scatter`.  The slot
+enumeration is the one fixed by SampletBasis.
 """
 
 from __future__ import annotations
@@ -55,9 +58,10 @@ def forward_transform(basis: SampletBasis, values) -> CoefficientVector:
     returns a plain array of transformed columns.
     """
     arr = _rows(values, basis.n)
-    buf = np.empty((basis.sweep_rows,) + arr.shape[1:])
+    tail = arr.shape[1:]
+    buf = np.empty((basis.sweep_rows,) + tail)
     for g in basis.groups:  # deepest level first
-        x = np.take(arr if g.leaf else buf, g.gather, axis=0)
+        x = (arr if g.leaf else buf)[g.rows].reshape(g.gather.shape + tail)
         buf[g.scatter] = g.analyze(x)
     coeffs = buf[basis.slot_row :]  # the coefficient slots end the buffer
     if arr.ndim == 1:
@@ -72,12 +76,13 @@ def inverse_transform(basis: SampletBasis, coeffs):
             raise ValueError("basis mismatch: coefficients belong to another basis")
         coeffs = coeffs.slots
     arr = _rows(coeffs, basis.n)
-    buf = np.empty((basis.sweep_rows,) + arr.shape[1:])
+    tail = arr.shape[1:]
+    buf = np.empty((basis.sweep_rows,) + tail)
     buf[basis.slot_row :] = arr
     out = np.empty_like(arr)
     for g in reversed(basis.groups):  # root first
         x = np.take(buf, g.scatter, axis=0)
-        (out if g.leaf else buf)[g.gather] = g.synthesize(x)
+        (out if g.leaf else buf)[g.rows] = g.synthesize(x).reshape((-1,) + tail)
     return out
 
 

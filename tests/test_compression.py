@@ -652,6 +652,33 @@ def test_blocks_are_writable_views(tmp_path, both_forms):
             assert mirrors > 0 or m.layout.dense
 
 
+def test_unsymmetric_diagonal_block_kept_in_either_form(tmp_path, monkeypatch, setup256):
+    # the file holds each diagonal block whole, so one written through
+    # `blocks` out of symmetry loads as the same operator in both forms, and
+    # adds to a panel-form operand as the same sum
+    _, spec, basis, _ = setup256
+    comp = compress_assemble(basis, spec, eta=1.25, interp_degree=4)
+    i = next(i for (i, j), b in comp.blocks.items() if i == j and len(b) > 1)
+    comp.blocks[i, i][-1, 0] += 1.0  # below the block's diagonal
+    save_compressed(comp, tmp_path / "matrix.smpb")
+    forms = []
+    for share in (0.0, 2.0):  # every layout dense, then none
+        monkeypatch.setattr(compression, "_DENSE_SHARE", share)
+        forms.append(load_compressed(tmp_path / "matrix.smpb", basis))
+    other = compress_assemble(basis, Matern(1.5, 0.2), eta=1.25, interp_degree=4)
+    dense, panels = forms
+    assert dense.layout.dense and not (panels.layout.dense or other.layout.dense)
+    assert np.array_equal(dense.to_dense(), comp.to_dense())
+    assert np.array_equal(panels.to_dense(), comp.to_dense())
+    v = np.random.default_rng(48).standard_normal(basis.n)
+    np.testing.assert_allclose(dense.matvec(v), panels.matvec(v), atol=1e-13)
+    sums = [add_compressed(m, other) for m in forms]
+    assert sums[0].layout.dense and not sums[1].layout.dense
+    expected = comp.to_dense() + other.to_dense()
+    assert all(np.array_equal(total.to_dense(), expected) for total in sums)
+    np.testing.assert_allclose(sums[0].matvec(v), sums[1].matvec(v), atol=1e-13)
+
+
 def _per_pair_assembly(basis, spec, eta, degree):
     """Recursive per-pair assembly, one kernel call per block: the dense
     samplet-coordinate matrix of the stored blocks and the number of kernel

@@ -9,6 +9,7 @@ from samplets import (
     assemble_dense_transform,
     build_basis,
     build_cluster_tree,
+    construction,
     moment_count,
 )
 from samplets.construction import (
@@ -251,6 +252,69 @@ def test_moment_shift_reexpands_monomials():
     )
 
 
+def _table_values(points, exponents):
+    """Monomials from one `**` table over all exponents 0..top."""
+    powers = points[:, :, None] ** np.arange(exponents.max(initial=0) + 1)
+    values = powers[:, 0, exponents[:, 0]]
+    for k in range(1, points.shape[1]):
+        values = values * powers[:, k, exponents[:, k]]
+    return values.T
+
+
+def _masked_shift(exponents, ratios, offsets):
+    """Re-expansion stack of c frames over all m x m entries, powers as
+    Python `**` lists for every exponent, then masked to beta <= alpha."""
+    dim, top = exponents.shape[1], int(exponents.max(initial=0))
+    total = exponents.sum(axis=1)
+    diff = exponents[:, None, :] - exponents[None, :, :]
+    below = (diff >= 0).all(axis=2)
+    diff = np.where(below[:, :, None], diff, 0)
+    pascal = np.array([[comb(a, b) for b in range(top + 1)] for a in range(top + 1)])
+    binom = pascal[exponents[:, None, :], exponents[None, :, :]].astype(float)
+    powers = range(int(total.max(initial=0)) + 1)
+    r_pow = np.array([[r**e for e in powers] for r in ratios.tolist()])
+    o_pow = np.array(
+        [[[o**e for e in range(top + 1)] for o in row] for row in offsets.tolist()]
+    )
+    S = r_pow[:, None, total]
+    for k in range(dim):
+        S = S * (binom[:, :, k] * o_pow[:, k, diff[:, :, k]])
+    return np.where(below, S, 0.0)
+
+
+def test_power_tables_and_reexpansion_match_full_table_formulas(monkeypatch):
+    # the tables skip the exact exponents 0 and 1 and build the frames'
+    # powers once per basis; every value stays bit for bit that of one `**`
+    # table over all exponents and of per-group masked re-expansions
+    rng = np.random.default_rng(25)
+    shifts = []
+
+    def recording(*args, stack=construction._shift_stack):
+        shifts.append(stack(*args))
+        return shifts[-1]
+
+    monkeypatch.setattr(construction, "_shift_stack", recording)
+    for dim in range(1, 7):
+        for degree in range(6):
+            exponents = monomial_exponents(dim, degree)
+            pts = rng.uniform(-1.0, 1.0, (2000, dim))
+            assert np.array_equal(
+                monomial_values(pts, exponents), _table_values(pts, exponents)
+            )
+            shifts.clear()
+            basis = build_basis(pts[:60], 0, leaf_size=6, carry_degree=degree)
+            centers, scales = local_frames(basis.tree)
+            inner = [g for g in basis.groups if g.level > 0]
+            assert len(shifts) == len(inner) > 0
+            for g, S in zip(inner, shifts):
+                p = basis.tree.parent[g.index]
+                ref = _masked_shift(
+                    exponents, scales[g.index] / scales[p],
+                    (centers[g.index] - centers[p]) / scales[p, None],
+                )
+                assert np.array_equal(S, ref)
+
+
 def test_formed_q_equals_complete_qr_bitwise():
     # the stacks formed from the stored reflectors are exactly what a
     # complete QR of the moment matrices gives, duplicate sites included
@@ -293,6 +357,8 @@ def test_level_groups_hold_each_transform_once(leaf_size):
         assert (basis.tree.level[g.index] == g.level).all()
         assert (basis.n_in[g.index] == n_in).all()
         assert (basis.n_sc[g.index] == g.n_scaling).all()
+        rows = np.arange(basis.n if g.leaf else basis.slot_row)[g.rows]
+        assert np.array_equal(rows, g.gather.ravel())
         x = rng.standard_normal(g.gather.shape + (2,))
         # both may overwrite their input
         qt_x, q_x = g.q.transpose(0, 2, 1) @ x, g.q @ x
@@ -321,3 +387,5 @@ def test_square_blocks_keep_explicit_q(dim):
     pts = (cells.reshape(-1, dim) + 0.1 + 0.8 * rng.random((m**dim, dim))) / m
     basis = build_basis(pts[rng.permutation(len(pts))], 3)
     assert all(g.ut is None for g in basis.groups)
+    # their trees are balanced: each interior group reads one run of rows
+    assert all(isinstance(g.rows, slice) for g in basis.groups if not g.leaf)

@@ -12,6 +12,7 @@ from samplets.cli import RunSpec, main, run
 from samplets.compression import save_compressed
 from samplets.io import (
     InputError,
+    csv_rows,
     read_coefficients,
     read_points,
     sidecar_path,
@@ -460,6 +461,31 @@ def test_write_coefficients_matches_per_line_writer(tmp_path):
         "permutation": [int(i) for i in basis.tree.permutation], "note": 1,
     }
     assert sidecar_path(path).read_bytes() == json.dumps(meta).encode()
+
+
+def test_csv_rows_match_per_value_format(tmp_path):
+    # one %-format over all values gives the bytes of per-value f-strings
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e300, -1e300,
+               1e-300, -1e-300, 1.0, -3.0, 4096.0, 2.0**53, 1 / 3, np.inf, -np.inf]
+    rng = np.random.default_rng(62)
+    values = np.concatenate([special, rng.standard_normal(40)])
+    table = rng.permutation(np.tile(values, 3)).reshape(-1, 3)
+    assert csv_rows(values) == "".join(f"{v:.17g}\n" for v in values)
+    assert csv_rows(table[:, :2], table[:, 2]) == "".join(
+        f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in table
+    )
+    assert csv_rows(np.empty(0)) == ""
+    # the points writer, with and without values
+    finite = table[np.isfinite(table).all(axis=1)]
+    for cloud in (PointCloud(finite[:, :2], finite[:, 2]), PointCloud(finite)):
+        write_points(cloud, tmp_path / "pts.csv", format="csv")
+        header = ",".join(f"x{i}" for i in range(cloud.dim))
+        rows = [",".join(f"{x:.17g}" for x in p) for p in cloud.points]
+        if cloud.values is not None:
+            header += ",value"
+            rows = [f"{r},{v:.17g}" for r, v in zip(rows, cloud.values)]
+        expected = header + "\n" + "".join(r + "\n" for r in rows)
+        assert (tmp_path / "pts.csv").read_bytes() == expected.encode()
 
 
 def test_missing_file_is_input_error(tmp_path, capsys):

@@ -190,6 +190,9 @@ def _irregular_clouds():
     yield rng.random((1001, 2)), {"moment_degree": 1, "leaf_size": 32}
     dup = np.repeat(rng.random((50, 3)), 20, axis=0)
     yield dup, {"moment_degree": 1, "leaf_size": 40}
+    # balanced: every interior group reads one run of the sweep buffer
+    cells = np.stack(np.meshgrid(*[np.arange(16)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    yield (cells + 0.1 + 0.8 * rng.random(cells.shape)) / 16, {"moment_degree": 3}
 
 
 IRREGULAR = list(_irregular_clouds())
